@@ -8,15 +8,18 @@
 //!
 //! With `--trace 0` the run sets up the workload [`SETUPS`] times (the
 //! median is `setup_s`), then runs its closed loop for `S` seconds and at
-//! least [`PREFIX_OPS`] ops, and prints the end-to-end metrics. With
-//! `--trace 1` it runs a fixed prefix of ops with an in-process replay of
-//! each op's layers (see `trace.rs`), then as many untraced ops, and
+//! least [`PREFIX_OPS`] ops, and prints the end-to-end metrics. Between
+//! ops it samples a host probe; the wall-time metrics are scaled to the
+//! probe's reference speed (see `probe.rs`). With `--trace 1` it runs a
+//! fixed prefix of ops with an in-process replay of each op's layers (see
+//! `trace.rs`), then untraced ops until `S` seconds have passed, and
 //! prints the per-layer metrics. The last stdout line is one JSON object:
 //! `{"correct", "attempted", "failed", "metrics": {name: {value, unit}}}`.
 //! `--smoke` runs every workload both ways on graphs of a few thousand
 //! vertices in a few seconds.
 
 mod metrics;
+mod probe;
 mod stats;
 mod trace;
 mod workload;
@@ -26,17 +29,20 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use metrics::{Metric, Report, END_TO_END, PER_LAYER};
+use probe::{HostProbe, REFERENCE_MS};
 use stats::{mean, median, peak_rss_mb, percentile};
 use trace::Replay;
 use workload::{Bench, OpError, OpRecord, Sizes, Workload, FULL, SMOKE};
 
 /// Set-ups per untraced run; `setup_s` is their median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 5;
 /// Ops every untraced run completes, however short `--seconds`: p90 needs
 /// 100 samples, and `colors_mean`, `model_ms_mean` and `peak_rss_mb` cover
 /// exactly these ops (and set-up), so they repeat for a seed whatever the
 /// run length.
 const PREFIX_OPS: u64 = 100;
+/// Least time between two host probe samples.
+const PROBE_EVERY: Duration = Duration::from_millis(100);
 /// A run that has not completed [`PREFIX_OPS`] by now gives up.
 const MAX_RUN: Duration = Duration::from_secs(150);
 /// Failures echoed to stderr per run; the rest are only counted.
@@ -45,31 +51,11 @@ const ECHO_FAILURES: u64 = 5;
 /// Ops the traced run replays; the per-layer counts cover exactly these.
 fn traced_ops(w: Workload) -> u64 {
     match w {
-        Workload::Cold | Workload::Sharded => 10,
+        Workload::Cold | Workload::Sharded => 20,
         Workload::Warm => 200,
         Workload::Mutate => 60,
     }
 }
-
-/// Restricts glibc's allocator to one arena. With one arena per thread,
-/// peak RSS depends on which thread frees which buffer, which varies with
-/// thread timing: identical `warm` runs peaked anywhere from 81 to 102 MB,
-/// against 62.2 to 62.7 MB with one arena, at the same latency.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-fn single_malloc_arena() {
-    extern "C" {
-        fn mallopt(param: i32, value: i32) -> i32;
-    }
-    const M_ARENA_MAX: i32 = -8;
-    // SAFETY: `mallopt` only sets an allocator parameter, and it runs
-    // before this process has started any other thread.
-    unsafe {
-        mallopt(M_ARENA_MAX, 1);
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-fn single_malloc_arena() {}
 
 /// Outcome counts and samples of one run.
 #[derive(Default)]
@@ -135,17 +121,14 @@ impl Tally {
 }
 
 fn run_untraced(w: Workload, sizes: Sizes, seed: u64, seconds: f64) -> Result<Report, String> {
-    let mut setup_s = Vec::with_capacity(SETUPS);
-    for _ in 1..SETUPS {
-        let (bench, times) = Bench::setup(w, sizes, seed)?;
-        setup_s.push(times.total_s);
-        bench.shutdown();
-    }
     let (mut bench, times) = Bench::setup(w, sizes, seed)?;
-    setup_s.push(times.total_s);
+    let mut setup_s = vec![times.total_s];
 
     let mut tally = Tally::default();
     let mut prefix_rss_mb = None;
+    let mut probe = HostProbe::new();
+    probe.sample();
+    let mut probed = Instant::now();
     let started = Instant::now();
     while started.elapsed().as_secs_f64() < seconds || tally.succeeded() < PREFIX_OPS {
         // Sampled once the prefix is done: later ops only add allocator
@@ -162,35 +145,54 @@ fn run_untraced(w: Workload, sizes: Sizes, seed: u64, seconds: f64) -> Result<Re
             ));
         }
         tally.record(bench.run_op());
+        // Between ops, while the server waits for the next request.
+        if probed.elapsed() >= PROBE_EVERY {
+            probe.sample();
+            probed = Instant::now();
+        }
     }
     bench.shutdown();
+    let peak_rss_mb = prefix_rss_mb.unwrap_or_else(peak_rss_mb);
+    // The other set-ups come after the run: each leaves freed memory in
+    // the allocator's per-thread arenas, which moved the run's peak RSS
+    // by up to 20% when they came first.
+    for _ in 1..SETUPS {
+        let (bench, times) = Bench::setup(w, sizes, seed)?;
+        setup_s.push(times.total_s);
+        bench.shutdown();
+    }
 
+    // Host time per reference time: every wall time divides by it.
+    let slowdown = median(probe.samples()) / REFERENCE_MS;
     let lat = &tally.latencies_ms;
     let mut report = tally.report();
     let m = &mut report.metrics;
-    m.insert("setup_s", median(&setup_s));
-    m.insert("ops_per_s", tally.ops_per_s());
+    m.insert("setup_s", median(&setup_s) / slowdown);
+    m.insert("ops_per_s", tally.ops_per_s() * slowdown);
     m.insert(
         "latency_p50_ms",
-        percentile(lat, 0.5).ok_or("too few ops for p50")?,
+        percentile(lat, 0.5).ok_or("too few ops for p50")? / slowdown,
     );
     m.insert(
         "latency_p90_ms",
-        percentile(lat, 0.9).ok_or("too few ops for p90")?,
+        percentile(lat, 0.9).ok_or("too few ops for p90")? / slowdown,
     );
     m.insert("colors_mean", mean(&tally.colors));
     m.insert("model_ms_mean", mean(&tally.model_ms));
-    m.insert("peak_rss_mb", prefix_rss_mb.unwrap_or_else(peak_rss_mb));
+    m.insert("peak_rss_mb", peak_rss_mb);
     m.insert(
         "ok_ratio",
         tally.succeeded() as f64 / tally.attempted as f64,
     );
     eprintln!(
-        "{}: {} ops ({} failed), p90 over {} samples",
+        "{}: {} ops ({} failed), p90 over {} samples; host probe median {:.3} ms over {} \
+         samples, so raw wall times are {slowdown:.3}x the reported ones",
         w.name(),
         tally.attempted,
         tally.failed,
-        lat.len()
+        lat.len(),
+        median(probe.samples()),
+        probe.samples().len(),
     );
     Ok(report)
 }
@@ -208,41 +210,19 @@ fn run_traced(
     let mut tally = Tally::default();
     let ops = traced_ops(w);
 
-    let mut traced_ms = Vec::new();
     for _ in 0..ops {
         if let Some(record) = tally.record(bench.run_op()) {
-            traced_ms.push(record.ms);
             replay.replay(&record);
         }
     }
-    // At least as many untraced ops, and on until the run has lasted
-    // `seconds`.
-    let mut untraced_ms = Vec::new();
-    for i in 0.. {
-        if i >= ops && started.elapsed().as_secs_f64() >= seconds.min(MAX_RUN.as_secs_f64()) {
-            break;
-        }
-        if let Some(record) = tally.record(bench.run_op()) {
-            untraced_ms.push(record.ms);
-        }
+    // The run lasts `seconds`, like an untraced one.
+    while started.elapsed().as_secs_f64() < seconds.min(MAX_RUN.as_secs_f64()) {
+        tally.record(bench.run_op());
     }
     bench.shutdown();
 
     let mut report = tally.report();
-    replay.metrics(&mut report.metrics);
-    let per_s = |ms: &[f64]| ms.len() as f64 * 1e3 / ms.iter().sum::<f64>().max(f64::MIN_POSITIVE);
-    let (traced, untraced) = (per_s(&traced_ms), per_s(&untraced_ms));
-    let m = &mut report.metrics;
-    m.insert("trace.traced_ops_per_s", traced);
-    m.insert("trace.untraced_ops_per_s", untraced);
-    m.insert(
-        "trace.overhead_ratio",
-        if traced > 0.0 {
-            untraced / traced - 1.0
-        } else {
-            0.0
-        },
-    );
+    replay.metrics(trace::span_cost_us(), &mut report.metrics);
 
     std::fs::create_dir_all(out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
     let path = out_dir.join(format!("trace-{}-{seed}.jsonl", w.name()));
@@ -268,6 +248,7 @@ fn print_summary(report: &Report, catalog: &[Metric]) {
         let note = match m.bound {
             Some(bound) => format!("{} is better, bound {bound}", m.better),
             None if m.flat.is_empty() => format!("moves {}", m.moves),
+            None if m.moves.is_empty() => format!("flat on {}", m.flat),
             None => format!("moves {}; flat on {}", m.moves, m.flat),
         };
         eprintln!(
@@ -371,7 +352,6 @@ fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
 }
 
 fn main() -> ExitCode {
-    single_malloc_arena();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&args) {
         Ok(a) => a,
@@ -415,8 +395,10 @@ mod tests {
     #[test]
     fn color_on_an_unsubmitted_graph_counts_as_failed_and_the_run_goes_on() {
         let tiny = Sizes {
-            mesh: 0.003,
-            circuit: 0.002,
+            cold: 0.003,
+            warm: 0.003,
+            mutate: 0.003,
+            sharded: 0.002,
         };
         let (mut bench, _) = Bench::setup(Workload::Sharded, tiny, 5).unwrap();
         let mut tally = Tally::default();

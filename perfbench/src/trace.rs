@@ -13,7 +13,9 @@
 //!
 //! Counts (iterations, launches, rounds, bytes) come from the replayed
 //! calls' results over a fixed op prefix, so they repeat exactly for a
-//! seed. The replay runs between ops, never inside an op's timer.
+//! seed. The replay runs between ops, never inside an op's timer, so
+//! tracing slows no measured op; what it costs is the recording of each
+//! span, which [`span_cost_us`] measures.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -574,8 +576,9 @@ impl Replay {
         self.wall_model.1 += model_ms;
     }
 
-    /// Per-layer metrics from the spans and counts of the traced ops.
-    pub fn metrics(&self, out: &mut BTreeMap<&'static str, f64>) {
+    /// Per-layer metrics from the spans and counts of the traced ops;
+    /// `span_cost_us` is the measured cost of recording one span.
+    pub fn metrics(&self, span_cost_us: f64, out: &mut BTreeMap<&'static str, f64>) {
         let span_median = |span: &str| median(&self.tracer.durations(span));
         let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
         let mut put = |name: &str, value: f64| {
@@ -635,11 +638,38 @@ impl Replay {
             ratio(self.wall_model.0, self.wall_model.1),
         );
         put("unattributed_ms", unattributed_ms(&self.tracer));
+        let ops = self.tracer.durations("op");
+        let op_spans = self.tracer.spans().iter().filter(|s| s.op != NO_OP).count();
+        let spans_per_op = ratio(op_spans as f64, ops.len() as f64);
+        put("trace.span_cost_us", span_cost_us);
+        put(
+            "trace.overhead_ratio",
+            ratio(span_cost_us / 1e3 * spans_per_op, median(&ops)),
+        );
     }
 
     pub fn shutdown(self) {
         self.service.shutdown();
     }
+}
+
+/// Wall cost in microseconds of recording one span around an empty call:
+/// what tracing adds to each replayed layer call. Median of five batches.
+pub fn span_cost_us() -> f64 {
+    const SPANS: usize = 10_000;
+    let batches: Vec<f64> = (0..5)
+        .map(|_| {
+            let mut t = Tracer::default();
+            let start = Instant::now();
+            for op in 0..SPANS as u64 {
+                t.span("service.verify", op, Some(0), true, || ());
+            }
+            let us = start.elapsed().as_secs_f64() * 1e6 / SPANS as f64;
+            std::hint::black_box(t.spans().len());
+            us
+        })
+        .collect();
+    median(&batches)
 }
 
 /// Median over ops of the op's client-observed time minus the attributed

@@ -39,25 +39,39 @@ pub const OBJECTIVES: [WireObjective; 4] = [
 /// Longest a single reply may take before the op fails.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Dataset stand-in scales.
+/// Dataset stand-in scale of each workload's graphs.
 #[derive(Clone, Copy, Debug)]
 pub struct Sizes {
-    /// `ecology2` scale (`cold`, `warm`, `mutate`).
-    pub mesh: f64,
-    /// `G3_circuit` scale (`sharded`).
-    pub circuit: f64,
+    /// `ecology2` scale of `cold`.
+    pub cold: f64,
+    /// `ecology2` scale of `warm`.
+    pub warm: f64,
+    /// `ecology2` scale of `mutate`.
+    pub mutate: f64,
+    /// `G3_circuit` scale of `sharded`.
+    pub sharded: f64,
 }
 
-/// The measured configuration: 97,336-vertex meshes, 160,000-vertex circuits.
+/// The measured configuration. `cold` (29,241-vertex meshes) and
+/// `sharded` (64,000-vertex circuits) color whole graphs per op; at these
+/// sizes a run completes a few hundred ops, so p90 rests on dozens of
+/// samples beyond it. `warm` reads 292,681-vertex meshes: on smaller ones
+/// the loopback round trips dominate an op, and their cost doubled and
+/// halved with host load for minutes at a time. `mutate` toggles edges
+/// of 97,336-vertex meshes.
 pub const FULL: Sizes = Sizes {
-    mesh: 0.1,
-    circuit: 0.1,
+    cold: 0.03,
+    warm: 0.3,
+    mutate: 0.1,
+    sharded: 0.04,
 };
 /// The smoke configuration: a few thousand vertices, still above the
 /// policy's tiny-graph CPU fallback.
 pub const SMOKE: Sizes = Sizes {
-    mesh: 0.005,
-    circuit: 0.005,
+    cold: 0.005,
+    warm: 0.005,
+    mutate: 0.005,
+    sharded: 0.005,
 };
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -236,12 +250,19 @@ impl Bench {
         let graphs: Vec<Arc<Csr>> = match workload {
             Workload::Sharded => vec![Arc::new(generate(
                 "G3_circuit",
-                sizes.circuit,
+                sizes.sharded,
                 mix(seed, STREAM_GRAPH, 0),
             ))],
-            _ => (0..POOL as u64)
-                .map(|k| Arc::new(generate("ecology2", sizes.mesh, mix(seed, STREAM_GRAPH, k))))
-                .collect(),
+            _ => {
+                let scale = match workload {
+                    Workload::Cold => sizes.cold,
+                    Workload::Warm => sizes.warm,
+                    _ => sizes.mutate,
+                };
+                (0..POOL as u64)
+                    .map(|k| Arc::new(generate("ecology2", scale, mix(seed, STREAM_GRAPH, k))))
+                    .collect()
+            }
         };
         let generate_ms = started.elapsed().as_secs_f64() * 1e3;
 
@@ -596,8 +617,10 @@ mod tests {
     use super::*;
 
     const TINY: Sizes = Sizes {
-        mesh: 0.003,
-        circuit: 0.002,
+        cold: 0.003,
+        warm: 0.003,
+        mutate: 0.003,
+        sharded: 0.002,
     };
 
     #[test]
