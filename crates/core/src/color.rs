@@ -37,13 +37,7 @@ impl Coloring {
 
     /// Number of *distinct* colors used (the paper's quality metric).
     pub fn num_colors(&self) -> u32 {
-        let mut seen = std::collections::HashSet::new();
-        for &c in &self.colors {
-            if c != 0 {
-                seen.insert(c);
-            }
-        }
-        seen.len() as u32
+        count_distinct(&self.colors)
     }
 
     /// Whether any vertex is still uncolored.
@@ -74,6 +68,34 @@ impl Coloring {
         let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         (min, max, mean)
     }
+}
+
+/// Number of distinct non-zero values in `colors` — the color count of
+/// a (possibly partial) coloring, `0` being "uncolored".
+///
+/// One pass sets a bit per value in a bitmap sized by the largest value
+/// seen; colorings use few colors, so it stays a few words. A value
+/// larger than `colors.len()` switches to sort + dedup instead, so
+/// memory stays bounded by the input whatever the values.
+pub fn count_distinct(colors: &[u32]) -> u32 {
+    let mut bits: Vec<u64> = Vec::new();
+    for &c in colors {
+        let (word, bit) = (c as usize / 64, c % 64);
+        if word >= bits.len() {
+            if c as usize > colors.len() {
+                let mut seen: Vec<u32> = colors.iter().copied().filter(|&c| c != 0).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                return seen.len() as u32;
+            }
+            bits.resize(word + 1, 0);
+        }
+        bits[word] |= 1u64 << bit;
+    }
+    if let Some(first) = bits.first_mut() {
+        *first &= !1;
+    }
+    bits.iter().map(|w| w.count_ones()).sum()
 }
 
 /// Everything a coloring run reports: the assignment plus the metrics the

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use gc_graph::{Csr, GraphBuilder};
 use gc_vgpu::{primitives, Device, DeviceBuffer};
 
-use crate::color::ColoringResult;
+use crate::color::{count_distinct, ColoringResult};
 use crate::gblas_jpl::{gblas_jpl_with, JplConfig};
 use crate::greedy::{greedy, Ordering};
 use crate::gunrock_hash::{gunrock_hash, HashConfig};
@@ -232,5 +232,27 @@ proptest! {
             t.read(&flags_buf, v as usize) != 0
         });
         prop_assert_eq!(by_value.to_vec(), expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // The bitmap color count against a hash set. The value mix reaches
+    // zeros (ignored), small colors (the bitmap path) and values above
+    // the length (the sort+dedup fallback).
+    #[test]
+    fn count_distinct_matches_hash_set(
+        small in proptest::collection::vec(0u32..70, 0..150),
+        large in proptest::collection::vec(any::<u32>(), 0..3),
+        at in any::<usize>(),
+    ) {
+        let mut colors = small;
+        for (i, value) in large.into_iter().enumerate() {
+            colors.insert((at + i) % (colors.len() + 1), value);
+        }
+        let expect: std::collections::HashSet<u32> =
+            colors.iter().copied().filter(|&c| c != 0).collect();
+        prop_assert_eq!(count_distinct(&colors), expect.len() as u32);
     }
 }

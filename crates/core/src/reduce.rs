@@ -36,6 +36,8 @@
 use gc_graph::Csr;
 use gc_vgpu::Device;
 
+use crate::color::count_distinct;
+
 /// Minimum excluded color: the smallest color `>= 1` absent from
 /// `forbidden` (0 entries — uncolored neighbors — are ignored). Sorts
 /// in place; the same routine the gc-shard repair loop hardwires.
@@ -124,7 +126,7 @@ pub fn reduce_colors(
         crate::verify::is_proper(g, colors).is_ok(),
         "reduce_colors requires a proper coloring"
     );
-    let colors_before = distinct_colors(colors);
+    let colors_before = count_distinct(colors);
     let mut outcome = ReduceOutcome {
         colors_before,
         colors_after: colors_before,
@@ -206,7 +208,7 @@ pub fn reduce_colors(
         }
     }
 
-    outcome.colors_after = distinct_colors(colors);
+    outcome.colors_after = count_distinct(colors);
     outcome.model_ms = dev.elapsed_ms() - model0;
     if span.is_recording() {
         span.attr("colors_after", outcome.colors_after);
@@ -214,13 +216,6 @@ pub fn reduce_colors(
         span.attr("moved", outcome.moved);
     }
     outcome
-}
-
-fn distinct_colors(colors: &[u32]) -> u32 {
-    let mut seen: Vec<u32> = colors.iter().copied().filter(|&c| c != 0).collect();
-    seen.sort_unstable();
-    seen.dedup();
-    seen.len() as u32
 }
 
 #[cfg(test)]

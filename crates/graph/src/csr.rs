@@ -57,6 +57,21 @@ impl Csr {
         Ok(g)
     }
 
+    /// Wraps arrays the caller has already proven to be a valid CSR,
+    /// skipping the `O(E log d)` re-validation of [`Csr::try_from_raw`].
+    /// The edge-delta splice uses it after checking the rows it rewrote.
+    pub(crate) fn from_raw_unchecked(
+        n: usize,
+        row_offsets: Vec<usize>,
+        col_indices: Vec<VertexId>,
+    ) -> Self {
+        Self {
+            n,
+            row_offsets,
+            col_indices,
+        }
+    }
+
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
         Self {
@@ -152,20 +167,7 @@ impl Csr {
             if self.row_offsets[v] > self.row_offsets[v + 1] {
                 return Err(format!("row_offsets decrease at vertex {v}"));
             }
-            let adj = &self.col_indices[self.row_offsets[v]..self.row_offsets[v + 1]];
-            for w in adj.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("neighbor list of {v} not sorted/deduped"));
-                }
-            }
-            for &u in adj {
-                if u as usize >= self.n {
-                    return Err(format!("vertex {v} has out-of-range neighbor {u}"));
-                }
-                if u as usize == v {
-                    return Err(format!("self loop at vertex {v}"));
-                }
-            }
+            self.check_row(v as VertexId)?;
         }
         // Symmetry.
         for v in 0..self.n as VertexId {
@@ -173,6 +175,27 @@ impl Csr {
                 if !self.has_edge(u, v) {
                     return Err(format!("edge ({v}, {u}) present but ({u}, {v}) missing"));
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the neighbor list of `v` on its own: strictly ascending
+    /// (sorted, duplicate-free), in range and loop-free. Symmetry is a
+    /// property between rows and is checked by the caller.
+    pub(crate) fn check_row(&self, v: VertexId) -> Result<(), String> {
+        let adj = self.neighbors(v);
+        for w in adj.windows(2) {
+            if w[0] >= w[1] {
+                return Err(format!("neighbor list of {v} not sorted/deduped"));
+            }
+        }
+        for &u in adj {
+            if u as usize >= self.n {
+                return Err(format!("vertex {v} has out-of-range neighbor {u}"));
+            }
+            if u == v {
+                return Err(format!("self loop at vertex {v}"));
             }
         }
         Ok(())

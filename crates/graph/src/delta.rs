@@ -2,11 +2,45 @@
 //!
 //! Dynamic-graph clients (the `gc-net` wire protocol) mutate a graph by
 //! shipping small batches of edge changes instead of re-submitting the
-//! whole CSR. [`apply_edge_delta`] rebuilds the adjacency structure in
-//! one merge pass over the old neighbor lists and reports exactly which
-//! vertices were *touched* — the endpoints of edges that actually
-//! changed — so the caller can seed an incremental-recoloring frontier
-//! with just those vertices rather than recoloring from scratch.
+//! whole CSR. [`apply_edge_delta`] splices the delta into a copy of the
+//! adjacency structure and reports exactly which vertices were
+//! *touched* — the endpoints of edges that actually changed — so the
+//! caller can seed an incremental-recoloring frontier with just those
+//! vertices rather than recoloring from scratch.
+//!
+//! # Cost
+//!
+//! Only the rows the symmetrized delta names are merged. Every run of
+//! untouched rows between two named rows is copied with one
+//! `extend_from_slice` of its neighbor lists, its row offsets shifted by
+//! a running constant. For a delta of Δ pairs on a graph with `n`
+//! vertices, `E` arcs and degree `d`, a splice costs an `O(n)` offset
+//! shift, an `O(E)` memcpy, and `O(Δ·d log d)` for merging, checking and
+//! symmetry-probing the rewritten rows (plus `O(Δ log Δ)` to sort the
+//! delta). No per-arc work touches the untouched rows.
+//!
+//! # Why checking the rewritten rows suffices
+//!
+//! The input is a [`Csr`], and every public `Csr` constructor validates
+//! every invariant, so all untouched rows — copied verbatim — are
+//! already strictly ascending, in range and loop-free, and each of their
+//! arcs `(w, u)` had its mirror `(u, w)` in the input. The splice then
+//! checks each rewritten row `v` on its own (strictly ascending, in
+//! range, loop-free) and checks symmetry only where it can change:
+//!
+//! * every new neighbor `u` of `v` must have `v` in its new row;
+//! * every neighbor `u` that `v` lost must have lost `v` too.
+//!
+//! Together these cover every arc of the output. An arc `(v, u)` that is
+//! new has its mirror by the first check. An arc carried over from the
+//! input had its mirror `(u, v)` in the input; that mirror can only be
+//! missing now if row `u` lost `v`, which the second check (run on row
+//! `u`) rejects. Row offsets are non-decreasing and end at the arc count
+//! by construction. A violation — which a correct merge never produces —
+//! comes back as an `Err`, and debug builds still run the full
+//! [`Csr::validate`] on every result.
+
+use std::cmp::Ordering;
 
 use crate::csr::{Csr, VertexId};
 
@@ -59,9 +93,11 @@ pub struct DeltaOutcome {
 /// * inserting a present edge / deleting an absent one is a no-op and
 ///   does not count as a change.
 ///
-/// Cost is `O(E + Δ log Δ)`: one merge sweep over the old CSR plus a
-/// sort of the (small) delta — the graph is *not* re-validated edge by
-/// edge, the merge preserves the CSR invariants by construction.
+/// Cost is `O(n + E + Δ·d log d)`: an offset shift over all `n` rows, a
+/// memcpy of the untouched neighbor lists, and a merge plus local check
+/// of the rows the delta names (see the [module docs](self) for why the
+/// local check proves every [`Csr`] invariant). The result is not
+/// re-validated edge by edge outside debug builds.
 pub fn apply_edge_delta(g: &Csr, delta: &EdgeDelta) -> Result<DeltaOutcome, String> {
     let n = g.num_vertices();
     let check = |pairs: &[(VertexId, VertexId)], what: &str| -> Result<(), String> {
@@ -93,74 +129,120 @@ pub fn apply_edge_delta(g: &Csr, delta: &EdgeDelta) -> Result<DeltaOutcome, Stri
     let ins = directed(&delta.insert);
     let del = directed(&delta.delete);
 
+    let old_offsets = g.row_offsets();
+    let old_cols = g.col_indices();
     let mut row_offsets = Vec::with_capacity(n + 1);
     row_offsets.push(0usize);
-    let mut cols: Vec<VertexId> =
-        Vec::with_capacity(g.num_directed_edges() + ins.len().saturating_sub(del.len()));
-    let mut touched = Vec::new();
-    let (mut ii, mut di) = (0usize, 0usize);
-    let mut inserted_arcs = 0usize;
-    let mut deleted_arcs = 0usize;
+    let mut cols: Vec<VertexId> = Vec::with_capacity(old_cols.len() + ins.len());
+    // Copies rows `lo..hi` verbatim: one memcpy of their neighbor lists,
+    // their offsets shifted by where that run now starts.
+    let copy_rows = |lo: usize, hi: usize, row_offsets: &mut Vec<usize>, cols: &mut Vec<_>| {
+        let (from, to) = (old_offsets[lo], old_offsets[hi]);
+        let base = cols.len();
+        cols.extend_from_slice(&old_cols[from..to]);
+        row_offsets.extend(old_offsets[lo + 1..=hi].iter().map(|&o| o - from + base));
+    };
 
-    for v in 0..n as VertexId {
-        let old = g.neighbors(v);
-        let mut oi = 0usize;
-        let mut touched_v = false;
+    let mut rewritten = Vec::new();
+    let mut touched = Vec::new();
+    // Arcs `(v, u)` that actually appeared in / vanished from row `v`.
+    let mut gained = Vec::new();
+    let mut lost = Vec::new();
+    let (mut ii, mut di) = (0usize, 0usize);
+    let mut next_row = 0usize;
+    loop {
+        let v = match (ins.get(ii), del.get(di)) {
+            (Some(a), Some(b)) => a.0.min(b.0),
+            (Some(a), None) => a.0,
+            (None, Some(b)) => b.0,
+            (None, None) => break,
+        };
+        copy_rows(next_row, v as usize, &mut row_offsets, &mut cols);
+        next_row = v as usize + 1;
+
+        let ins_v = &ins[ii..ii + ins[ii..].partition_point(|a| a.0 == v)];
+        let del_v = &del[di..di + del[di..].partition_point(|a| a.0 == v)];
+        ii += ins_v.len();
+        di += del_v.len();
+        let changes = gained.len() + lost.len();
+
         // Merge the old sorted neighbor run with this vertex's sorted
-        // insert run, skipping neighbors present in the delete run.
-        while oi < old.len() || (ii < ins.len() && ins[ii].0 == v) {
-            let next_ins = if ii < ins.len() && ins[ii].0 == v {
-                Some(ins[ii].1)
-            } else {
-                None
+        // insert run, dropping old neighbors in its delete run unless they
+        // are re-inserted (delete-then-insert keeps the edge).
+        let old = g.neighbors(v);
+        let (mut oi, mut ni) = (0usize, 0usize);
+        loop {
+            let next_old = old.get(oi).copied();
+            let next_ins = ins_v.get(ni).map(|a| a.1);
+            let order = match (next_old, next_ins) {
+                (Some(o), Some(i)) => o.cmp(&i),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
             };
-            let take_ins = match (old.get(oi), next_ins) {
-                (Some(&o), Some(i)) => i < o,
-                (None, Some(_)) => true,
-                _ => false,
-            };
-            if take_ins {
-                let u = next_ins.unwrap();
-                cols.push(u);
-                inserted_arcs += 1;
-                touched_v = true;
-                ii += 1;
-            } else {
-                let u = old[oi];
-                oi += 1;
-                // Deduplicate an insert of an already-present edge.
-                if next_ins == Some(u) {
-                    ii += 1;
-                }
-                let doomed = {
-                    while di < del.len() && del[di] < (v, u) {
-                        di += 1;
+            match order {
+                Ordering::Less => {
+                    let u = old[oi];
+                    oi += 1;
+                    if del_v.binary_search(&(v, u)).is_ok() {
+                        lost.push((v, u));
+                    } else {
+                        cols.push(u);
                     }
-                    di < del.len() && del[di] == (v, u)
-                };
-                // ...unless it is also being deleted; delete-then-insert
-                // keeps the edge, so only a pure delete drops it.
-                if doomed && next_ins != Some(u) {
-                    deleted_arcs += 1;
-                    touched_v = true;
-                } else {
+                }
+                // An insert of an already-present edge changes nothing.
+                Ordering::Equal => {
+                    cols.push(old[oi]);
+                    oi += 1;
+                    ni += 1;
+                }
+                Ordering::Greater => {
+                    let u = ins_v[ni].1;
+                    ni += 1;
                     cols.push(u);
+                    gained.push((v, u));
                 }
             }
         }
-        if touched_v {
+        row_offsets.push(cols.len());
+        rewritten.push(v);
+        if gained.len() + lost.len() > changes {
             touched.push(v);
         }
-        row_offsets.push(cols.len());
     }
+    copy_rows(next_row, n, &mut row_offsets, &mut cols);
 
-    let graph = Csr::try_from_raw(n, row_offsets, cols)
-        .map_err(|e| format!("delta produced an invalid CSR (bug): {e}"))?;
+    // Local validation: see the module docs for why these checks, over
+    // the rewritten rows only, prove every `Csr` invariant.
+    let graph = Csr::from_raw_unchecked(n, row_offsets, cols);
+    let invalid = |e: String| format!("delta produced an invalid CSR (bug): {e}");
+    for &v in &rewritten {
+        graph.check_row(v).map_err(invalid)?;
+    }
+    for &(v, u) in &gained {
+        if !graph.has_edge(u, v) {
+            return Err(invalid(format!(
+                "edge ({v}, {u}) inserted but ({u}, {v}) missing"
+            )));
+        }
+    }
+    for &(v, u) in &lost {
+        if graph.has_edge(u, v) {
+            return Err(invalid(format!(
+                "edge ({v}, {u}) deleted but ({u}, {v}) kept"
+            )));
+        }
+    }
+    debug_assert_eq!(
+        graph.validate(),
+        Ok(()),
+        "spliced CSR failed full validation"
+    );
     Ok(DeltaOutcome {
         graph,
         touched,
-        inserted: inserted_arcs / 2,
-        deleted: deleted_arcs / 2,
+        inserted: gained.len() / 2,
+        deleted: lost.len() / 2,
     })
 }
 
@@ -228,6 +310,15 @@ mod tests {
         assert!(apply_edge_delta(&g, &delta(&[], &[(2, 2)]))
             .unwrap_err()
             .contains("self loop"));
+    }
+
+    #[test]
+    fn corrupt_rewritten_row_is_an_error() {
+        // Row 0 is out of order. No public constructor admits this, so it
+        // stands in for a merge bug; the check of rewritten rows catches it.
+        let g = Csr::from_raw_unchecked(3, vec![0, 2, 3, 4], vec![2, 1, 0, 0]);
+        let err = apply_edge_delta(&g, &delta(&[(0, 2)], &[])).unwrap_err();
+        assert!(err.contains("not sorted"), "{err}");
     }
 
     #[test]

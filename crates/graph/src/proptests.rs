@@ -1,9 +1,12 @@
 //! Property-based tests for the graph substrate.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use crate::builder::GraphBuilder;
-use crate::csr::VertexId;
+use crate::csr::{Csr, VertexId};
+use crate::delta::{apply_edge_delta, EdgeDelta};
 use crate::transform::{degeneracy, permute_vertices, relabel};
 use crate::traversal::{bfs_levels, connected_components};
 
@@ -14,6 +17,112 @@ pub fn arb_edges() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)> 
         let edge = (0..n as VertexId, 0..n as VertexId);
         (Just(n), proptest::collection::vec(edge, 0..200))
     })
+}
+
+/// How a delta pair is drawn: an edge of the graph (present), an
+/// arbitrary pair (mostly absent), or the pair spanning rows 0 and n-1.
+#[derive(Clone, Copy, Debug)]
+enum PairKind {
+    Present,
+    Arbitrary,
+    Extremes,
+}
+
+/// One raw delta pair: its kind, a pick among the present edges, an
+/// arbitrary pair, and whether it is written reversed.
+type RawPair = (PairKind, usize, (VertexId, VertexId), bool);
+
+fn arb_pair(n: usize) -> impl Strategy<Value = RawPair> {
+    let kind = (0u8..7).prop_map(|k| match k {
+        0..=2 => PairKind::Present,
+        3..=5 => PairKind::Arbitrary,
+        _ => PairKind::Extremes,
+    });
+    let pair = (0..n as VertexId, 0..n as VertexId);
+    (kind, any::<usize>(), pair, any::<bool>())
+}
+
+/// Resolves raw pairs against `g`, dropping self loops (which the delta
+/// rejects as a whole; a unit test covers that).
+fn resolve(g: &Csr, raw: &[RawPair]) -> Vec<(VertexId, VertexId)> {
+    let present: Vec<_> = g.edges().collect();
+    let last = g.num_vertices() as VertexId - 1;
+    raw.iter()
+        .filter_map(|&(kind, pick, arbitrary, reversed)| {
+            let (u, v) = match kind {
+                PairKind::Present if !present.is_empty() => present[pick % present.len()],
+                PairKind::Extremes => (0, last),
+                _ => arbitrary,
+            };
+            let pair = if reversed { (v, u) } else { (u, v) };
+            (pair.0 != pair.1).then_some(pair)
+        })
+        .collect()
+}
+
+/// A graph and a delta over it: inserts, deletes, and pairs listed in
+/// both (delete-then-insert), each drawn by [`arb_pair`].
+fn arb_graph_and_delta() -> impl Strategy<Value = (Csr, EdgeDelta)> {
+    arb_edges().prop_flat_map(|(n, edges)| {
+        let g = GraphBuilder::new(n).edges(edges).build();
+        let pairs = move || proptest::collection::vec(arb_pair(n), 0..12);
+        (Just(g), pairs(), pairs(), pairs()).prop_map(|(g, ins, del, both)| {
+            let mut delta = EdgeDelta {
+                insert: resolve(&g, &ins),
+                delete: resolve(&g, &del),
+            };
+            for pair in resolve(&g, &both) {
+                delta.insert.push(pair);
+                delta.delete.push(pair);
+            }
+            (g, delta)
+        })
+    })
+}
+
+fn undirected(
+    edges: impl IntoIterator<Item = (VertexId, VertexId)>,
+) -> BTreeSet<(VertexId, VertexId)> {
+    edges
+        .into_iter()
+        .map(|(u, v)| (u.min(v), u.max(v)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The splice equals a from-scratch rebuild: same graph, same touched
+    /// set, same change counts, and the result passes full validation.
+    #[test]
+    fn delta_splice_matches_rebuild((g, delta) in arb_graph_and_delta()) {
+        let before = undirected(g.edges());
+        let deleted = undirected(delta.delete.iter().copied());
+        let inserted = undirected(delta.insert.iter().copied());
+        let kept = before.iter().copied().filter(|e| !deleted.contains(e));
+        let expect = GraphBuilder::new(g.num_vertices())
+            .edges(kept.chain(inserted.iter().copied()))
+            .build();
+        let after = undirected(expect.edges());
+        let mut touched: Vec<VertexId> = before
+            .symmetric_difference(&after)
+            .flat_map(|&(u, v)| [u, v])
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+
+        let out = apply_edge_delta(&g, &delta).unwrap();
+        prop_assert_eq!(out.graph.validate(), Ok(()));
+        prop_assert_eq!(&out.graph, &expect);
+        prop_assert_eq!(out.touched, touched);
+        prop_assert_eq!(out.inserted, after.difference(&before).count());
+        prop_assert_eq!(out.deleted, before.difference(&after).count());
+
+        let same = apply_edge_delta(&g, &EdgeDelta::default()).unwrap();
+        prop_assert_eq!(same.graph, g);
+        prop_assert!(same.touched.is_empty());
+        prop_assert_eq!((same.inserted, same.deleted), (0, 0));
+    }
 }
 
 proptest! {

@@ -241,18 +241,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Per-connection scratch: the device the incremental repairs of this
-/// connection run on, created on the first `MutateEdges` that needs it.
-struct ConnState {
-    repair_device: Option<Device>,
-}
-
-impl ConnState {
-    fn device(&mut self) -> &Device {
-        self.repair_device.get_or_insert_with(Device::k40c)
-    }
-}
-
 fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     let peer = stream
         .peer_addr()
@@ -263,9 +251,6 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone().expect("clone TCP stream"));
     let mut writer = BufWriter::new(stream);
-    let mut conn = ConnState {
-        repair_device: None,
-    };
 
     loop {
         if shared.stopping.load(Ordering::SeqCst) {
@@ -295,7 +280,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
         let started = Instant::now();
         let mut span = gc_telemetry::span("net_request");
         span.attr("verb", verb_name(verb));
-        let outcome = handle_frame(verb, &body, &shared, &mut conn, &mut writer);
+        let outcome = handle_frame(verb, &body, &shared, &mut writer);
         shared.observe_request(verb, started.elapsed());
         match outcome {
             FrameOutcome::Ok => {
@@ -344,7 +329,6 @@ fn handle_frame(
     verb: u8,
     body: &[u8],
     shared: &Arc<Shared>,
-    conn: &mut ConnState,
     writer: &mut BufWriter<TcpStream>,
 ) -> FrameOutcome {
     shared.count_verb(verb);
@@ -376,7 +360,7 @@ fn handle_frame(
         }
         VERB_MUTATE_EDGES => {
             let msg = decode!(MutateEdges::decode(body));
-            handle_mutate(msg, shared, conn, writer)
+            handle_mutate(msg, shared, writer)
         }
         VERB_SUBSCRIBE_STATS => {
             let msg = decode!(SubscribeStats::decode(body));
@@ -603,7 +587,6 @@ fn handle_get_result(
 fn handle_mutate(
     msg: MutateEdges,
     shared: &Arc<Shared>,
-    conn: &mut ConnState,
     writer: &mut BufWriter<TcpStream>,
 ) -> FrameOutcome {
     let entry = match lookup(shared, msg.graph_id) {
@@ -641,16 +624,17 @@ fn handle_mutate(
     let mut repair_stats = (0u32, 0u32, 0u32, 0u64, 0u32, false); // frontier, rounds, recolored, executions, num_colors, revalidated
     if let Some(stored) = e.stored.take() {
         let mut colors = stored.response.coloring.as_slice().to_vec();
-        let dev = conn.device();
-        let before = dev.profile().thread_executions;
+        // A fresh device per repair: its profile covers exactly this
+        // repair, and no kernel history outlives the request.
+        let dev = Device::k40c();
         let repair = gc_shard::repair_frontier(
-            dev,
+            &dev,
             &new_graph,
             &mut colors,
             &outcome.touched,
             MAX_REPAIR_ROUNDS,
         );
-        let executions = dev.profile().thread_executions - before;
+        let executions = dev.profile().thread_executions;
         if is_proper(&new_graph, &colors).is_err() {
             // Repair failed to produce a proper coloring (cannot happen
             // under the frontier contract; defensive): drop the stored

@@ -101,4 +101,11 @@ cargo run --release -q -p gc-bench --bin repro -- \
 cargo run --release -q -p gc-bench --bin repro -- \
   bench-check BENCH_net.json
 
+echo "==> perfbench: unit tests + smoke run of every workload"
+# perfbench is its own cargo workspace built against the crates by path:
+# API drift in the crates it drives (apply_edge_delta, Coloring, the
+# service and net types) breaks this step rather than the benchmark.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --smoke
+
 echo "CI gate passed."
