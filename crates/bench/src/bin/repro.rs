@@ -56,7 +56,7 @@
 //!
 //! `scale-sweep` runs the Figure 4 RGG scaling study at paper extents:
 //! three representative colorers over `rgg_n_2_{MIN..MAX}_s0` (default
-//! 15:24) on fast-meter devices, writing a `gc-bench-scale/v1` document
+//! 15:24) on K40c devices, writing a `gc-bench-scale/v1` document
 //! (default `BENCH_scale.json`) whose every row is host-verified.
 //!
 //! `bench-check FILE` re-validates any committed benchmark document,
@@ -106,7 +106,7 @@ const SUBCOMMANDS: [(&str, &str); 18] = [
     ),
     (
         "scale-sweep",
-        "RGG scaling sweep at paper extents on fast-meter devices (Figure 4)",
+        "RGG scaling sweep at paper extents on K40c devices (Figure 4)",
     ),
     (
         "bench-check",
@@ -588,7 +588,8 @@ fn main() -> ExitCode {
         // Without an explicit --rgg range, sweep the paper's full
         // Figure 4 family, up to scale 24 (16.8M vertices, ~150M
         // undirected edges — the banded-parallel RGG generator and the
-        // fast-meter executor keep it tractable on the host).
+        // profiler's bounded per-kernel totals keep it tractable on the
+        // host).
         let (lo, hi) = if args.rgg_set {
             (cfg.rgg_min, cfg.rgg_max)
         } else {

@@ -494,7 +494,7 @@ pub fn render_coloring_bench(report: &crate::coloring_bench::BenchReport) -> Str
 pub fn render_scale_sweep(report: &crate::scale_sweep::ScaleReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "SCALE-SWEEP: rgg_n_2_{{{}..{}}}_s0 on fast-meter devices (seed {})\n",
+        "SCALE-SWEEP: rgg_n_2_{{{}..{}}}_s0 on K40c devices (seed {})\n",
         report.min_scale, report.max_scale, report.seed
     ));
     out.push_str(&format!(

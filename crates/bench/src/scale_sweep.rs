@@ -6,12 +6,11 @@
 //! colorer's model time should roughly double per scale step too. The
 //! sweep runs a representative colorer subset ([`SWEEP_COLORERS`]: one
 //! Gunrock, one GraphBLAST, one Naumov) over the full requested scale
-//! range on **fast-meter devices** — the cost model runs in full, so
-//! `model_ms`, `thread_executions`, and `launches` are bit-identical to
-//! a tracked run, but no per-kernel history or telemetry spans are
-//! retained, which — together with the banded-parallel RGG generator —
-//! is what makes the full paper range up to scale 24 (16.8M vertices,
-//! ~150M undirected edges) tractable on the host executor.
+//! range on K40c devices. The profiler keeps per-kernel running totals,
+//! so its memory stays bounded however many launches a cell issues;
+//! together with the banded-parallel RGG generator that is what makes
+//! the full paper range up to scale 24 (16.8M vertices, ~150M
+//! undirected edges) tractable on the host executor.
 //!
 //! Every row's coloring is verified proper on the host before it is
 //! emitted; `validate_report_json` refuses a document with an
@@ -26,7 +25,7 @@ use std::time::Instant;
 
 use gc_core::runner::{colorer_by_name, Colorer};
 use gc_core::verify::is_proper;
-use gc_vgpu::{Device, DeviceConfig};
+use gc_vgpu::Device;
 
 /// The document's `schema` field.
 pub const SCHEMA: &str = "gc-bench-scale/v1";
@@ -73,10 +72,10 @@ pub struct ScaleReport {
     pub rows: Vec<ScaleRow>,
 }
 
-/// Runs one colorer at one scale on a fresh fast-meter K40c device.
+/// Runs one colorer at one scale on a fresh K40c device.
 fn sweep_cell(colorer: &Colorer, scale: u32, seed: u64) -> ScaleRow {
     let g = gc_datasets::rgg_generate(scale, seed);
-    let dev = Device::new(DeviceConfig::k40c().fast_meter());
+    let dev = Device::k40c();
     let t0 = Instant::now();
     let r = colorer
         .run_on_device(&dev, &g, seed)
@@ -134,7 +133,6 @@ pub fn to_json(report: &ScaleReport) -> String {
     out.push_str(&format!("  \"seed\": {},\n", report.seed));
     out.push_str(&format!("  \"min_scale\": {},\n", report.min_scale));
     out.push_str(&format!("  \"max_scale\": {},\n", report.max_scale));
-    out.push_str("  \"fast_meter\": true,\n");
     out.push_str("  \"rows\": [\n");
     for (i, r) in report.rows.iter().enumerate() {
         out.push_str(&format!(
@@ -184,10 +182,6 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
     let max_scale = top("max_scale")?;
     if min_scale > max_scale {
         return Err(format!("min_scale {min_scale} > max_scale {max_scale}"));
-    }
-    match doc.get("fast_meter") {
-        Some(Json::Bool(true)) => {}
-        _ => return Err("fast_meter must be true".into()),
     }
     let rows = doc
         .get("rows")
@@ -288,11 +282,7 @@ mod tests {
             assert!(r.verified, "{} scale {} unverified", r.colorer, r.scale);
             assert_eq!(r.vertices, 1 << r.scale);
             assert!(r.model_ms > 0.0 && r.model_mteps > 0.0);
-            assert!(
-                r.thread_executions > 0,
-                "{} fast-meter lost work counters",
-                r.colorer
-            );
+            assert!(r.thread_executions > 0, "{} lost work counters", r.colorer);
         }
         // Model time grows with scale for every colorer (2x vertices
         // per step must cost more simulated time).
@@ -320,10 +310,6 @@ mod tests {
             validate_report_json(&good.replace("\"verified\": true", "\"verified\": false"))
                 .is_err()
         );
-        assert!(validate_report_json(
-            &good.replace("\"fast_meter\": true", "\"fast_meter\": false")
-        )
-        .is_err());
         // A scale gap: drop every scale-9 row by widening the declared
         // range instead (9..=10 with only scale 8 and 9 present).
         assert!(

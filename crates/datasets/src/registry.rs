@@ -187,6 +187,8 @@ pub fn dataset_by_name(name: &str) -> Option<DatasetSpec> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -227,6 +229,20 @@ mod tests {
         assert_eq!(a.num_vertices(), 1 << 10);
         let c = rgg_generate(10, 8);
         assert_ne!(a, c, "different seeds should differ");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        // The committed scale-sweep artifact relies on this: one seed,
+        // one edge list, at every scale.
+        #[test]
+        fn rgg_generation_is_seed_deterministic(scale in 6u32..11, seed in 0u64..1000) {
+            let a = rgg_generate(scale, seed);
+            let b = rgg_generate(scale, seed);
+            prop_assert_eq!(&a, &b, "same seed must reproduce the same edge list");
+            prop_assert_eq!(a.num_vertices(), 1usize << scale);
+        }
     }
 
     #[test]

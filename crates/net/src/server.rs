@@ -625,7 +625,7 @@ fn handle_mutate(
     if let Some(stored) = e.stored.take() {
         let mut colors = stored.response.coloring.as_slice().to_vec();
         // A fresh device per repair: its profile covers exactly this
-        // repair, and no kernel history outlives the request.
+        // repair.
         let dev = Device::k40c();
         let repair = gc_shard::repair_frontier(
             &dev,

@@ -159,24 +159,6 @@ impl RequestMetrics {
             hottest_fraction,
         }
     }
-
-    /// Line-delimited `key=value` dump in the same vocabulary as
-    /// `ProfileReport::to_kv`, so service metrics and bench output share
-    /// one machine-readable format.
-    pub fn to_kv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("launches={}\n", self.kernel_launches));
-        out.push_str(&format!("thread_executions={}\n", self.thread_executions));
-        out.push_str(&format!("syncs={}\n", self.syncs));
-        out.push_str(&format!("memcpys={}\n", self.memcpys));
-        out.push_str(&format!("memcpy_bytes={}\n", self.memcpy_bytes));
-        out.push_str(&format!("model_cycles={:.0}\n", self.model_cycles));
-        if let Some(k) = &self.hottest_kernel {
-            out.push_str(&format!("hottest_kernel={}\n", k.replace([' ', '='], "_")));
-            out.push_str(&format!("hottest_fraction={:.4}\n", self.hottest_fraction));
-        }
-        out
-    }
 }
 
 /// A completed coloring.

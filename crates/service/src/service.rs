@@ -49,12 +49,6 @@ pub struct ServiceConfig {
     /// When set, service counters, queue gauges, and per-colorer latency
     /// histograms are published here (see [`crate::stats`]).
     pub metrics: Option<gc_telemetry::MetricsRegistry>,
-    /// Pool device buffers per worker thread: allocations a colorer
-    /// drops are shelved and handed back to the next same-shaped
-    /// request instead of hitting the host allocator again. Saves the
-    /// alloc/zeroing work on every request after a worker's first for a
-    /// given graph size — the steady-state serving case.
-    pub pool_buffers: bool,
     /// Virtual devices per request. At 1 (the default) each worker
     /// colors on a single device; above 1, GPU-backed requests are
     /// sharded across this many devices via [`gc_shard::run_sharded`]
@@ -71,7 +65,6 @@ impl Default for ServiceConfig {
             cache_capacity: 128,
             tracer: None,
             metrics: None,
-            pool_buffers: true,
             devices: 1,
         }
     }
@@ -149,11 +142,10 @@ impl ColoringService {
                 let stats = Arc::clone(&stats);
                 let cache = Arc::clone(&cache);
                 let tracer = config.tracer.clone();
-                let pool_buffers = config.pool_buffers;
                 let devices = config.devices.max(1);
                 std::thread::Builder::new()
                     .name(format!("gc-service-worker-{i}"))
-                    .spawn(move || worker_loop(rx, stats, cache, tracer, pool_buffers, devices))
+                    .spawn(move || worker_loop(rx, stats, cache, tracer, devices))
                     .expect("spawn service worker")
             })
             .collect();
@@ -347,7 +339,6 @@ fn worker_loop(
     stats: Arc<ServiceStats>,
     cache: ResultCache,
     tracer: Option<gc_telemetry::Tracer>,
-    pool_buffers: bool,
     devices: usize,
 ) {
     // Install the tracer once per worker: each worker gets its own lane
@@ -358,9 +349,7 @@ fn worker_loop(
     // Opt this worker into the device-buffer pool: every request after
     // the first for a given graph shape reuses the previous request's
     // allocations instead of fresh host allocations.
-    if pool_buffers {
-        gc_vgpu::pool::enable_for_thread();
-    }
+    gc_vgpu::pool::enable_for_thread();
     loop {
         // Hold the receiver lock only for the dequeue itself so other
         // workers can pull jobs while this one colors.

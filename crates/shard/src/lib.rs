@@ -105,12 +105,6 @@ pub struct ShardedConfig {
     /// default (the `Contiguous` baseline cuts whatever the input order
     /// cuts).
     pub strategy: PartitionStrategy,
-    /// Overlap communication with computation: halo transfers are
-    /// awaited only after the next round's local detection has been
-    /// issued, so the profiler bills `max(compute, transfer)`. Off,
-    /// every transfer is awaited immediately after issue and bills
-    /// serially (the pre-overlap baseline).
-    pub overlap: bool,
     /// After the full round-1 exchange, ship only the compacted
     /// `(position, color)` pairs that changed. Off, every round
     /// re-ships each peer's full send list (the baseline; identical
@@ -125,7 +119,6 @@ impl ShardedConfig {
             max_conflict_rounds: MAX_CONFLICT_ROUNDS,
             verify: true,
             strategy: PartitionStrategy::BfsGrown,
-            overlap: true,
             delta_halo: true,
         }
     }
@@ -251,7 +244,6 @@ pub fn run_sharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -
     span.attr("colorer", colorer.name());
     span.attr("devices", cfg.devices);
     span.attr("strategy", format!("{:?}", cfg.strategy));
-    span.attr("overlap", cfg.overlap);
     span.attr("delta_halo", cfg.delta_halo);
 
     let partition = Partition::with_strategy(g, cfg.devices, cfg.strategy);
@@ -353,7 +345,10 @@ pub fn run_sharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -
     }
 
     let mut result = ColoringResult::new(colors, iterations, model_ms, launches);
-    if let Some(profile) = aggregate_profiles(&profiles) {
+    if let Some(profile) = profiles.into_iter().reduce(|mut all, p| {
+        all.merge(&p);
+        all
+    }) {
         result = result.with_profile(profile);
     }
     let verified = !cfg.verify || is_proper(g, result.coloring.as_slice()).is_ok();
@@ -721,7 +716,7 @@ enum Ship {
 }
 
 /// An importer's received delta: `(exporter, pairs, completion event)`.
-type Incoming = (usize, DeviceBuffer<u64>, Option<TransferEvent>);
+type Incoming = (usize, DeviceBuffer<u64>, TransferEvent);
 
 /// Orders the round's transfers as a round-robin tournament: waves of
 /// engine-disjoint device pairs, each followed by its reverse
@@ -1018,22 +1013,13 @@ fn resolve_conflicts(
                 Ship::Full(seg, off) => {
                     let ev = src_dev.peer_transfer_async(dst_st.dev, &seg, &dst_st.halo, off);
                     bytes_this_round += seg.size_bytes();
-                    if cfg.overlap {
-                        halo_evs[b].push(ev);
-                    } else {
-                        dst_st.dev.wait_event(&ev);
-                    }
+                    halo_evs[b].push(ev);
                 }
                 Ship::Delta(buf) => {
                     let dst = DeviceBuffer::<u64>::zeroed(buf.len());
                     let ev = src_dev.peer_transfer_async(dst_st.dev, &buf, &dst, 0);
                     bytes_this_round += buf.size_bytes();
-                    if cfg.overlap {
-                        incoming[b].push((a, dst, Some(ev)));
-                    } else {
-                        dst_st.dev.wait_event(&ev);
-                        incoming[b].push((a, dst, None));
-                    }
+                    incoming[b].push((a, dst, ev));
                 }
             }
         }
@@ -1096,9 +1082,7 @@ fn resolve_conflicts(
             }
             let deltas = std::mem::take(&mut incoming[jj]);
             for (_, _, ev) in &deltas {
-                if let Some(ev) = ev {
-                    st.dev.wait_event(ev);
-                }
+                st.dev.wait_event(ev);
             }
             if !deltas.is_empty() {
                 let mut starts = vec![0usize];
@@ -1275,48 +1259,6 @@ fn resolve_conflicts(
         colors[st.start as usize..st.start as usize + out.len()].copy_from_slice(&out);
     }
     stats
-}
-
-/// Folds per-device profiles into one report: counters sum, the clock is
-/// the slowest device's (devices run concurrently), per-kernel summaries
-/// merge.
-fn aggregate_profiles(reports: &[ProfileReport]) -> Option<ProfileReport> {
-    let (first, rest) = reports.split_first()?;
-    let mut out = first.clone();
-    for r in rest {
-        out.launches += r.launches;
-        out.thread_executions += r.thread_executions;
-        out.syncs += r.syncs;
-        out.memcpys += r.memcpys;
-        out.memcpy_bytes += r.memcpy_bytes;
-        out.d2d_transfers += r.d2d_transfers;
-        out.d2d_bytes += r.d2d_bytes;
-        out.d2d_overlapped_cycles += r.d2d_overlapped_cycles;
-        out.h2d_overlapped_cycles += r.h2d_overlapped_cycles;
-        out.d2d_stall_cycles += r.d2d_stall_cycles;
-        out.halo_rounds = out.halo_rounds.max(r.halo_rounds);
-        out.clock_cycles = out.clock_cycles.max(r.clock_cycles);
-        out.graph_replays += r.graph_replays;
-        out.graph_kernels += r.graph_kernels;
-        out.launch_overhead_cycles += r.launch_overhead_cycles;
-        out.launch_overhead_saved_cycles += r.launch_overhead_saved_cycles;
-        out.launch_overhead_ms += r.launch_overhead_ms;
-        out.pool_hits += r.pool_hits;
-        out.pool_misses += r.pool_misses;
-        for (name, s) in &r.by_kernel {
-            let e = out.by_kernel.entry(name.clone()).or_default();
-            e.launches += s.launches;
-            e.total_threads += s.total_threads;
-            e.total_cycles += s.total_cycles;
-            e.total_bytes += s.total_bytes;
-            e.total_atomics += s.total_atomics;
-            if s.max_launch_cycles > e.max_launch_cycles {
-                e.max_launch_cycles = s.max_launch_cycles;
-                e.dominant_bound = s.dominant_bound;
-            }
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]

@@ -91,59 +91,53 @@ proptest! {
 
     // Delta-only halo exchange is a pure traffic optimization: it must
     // produce bit-identical colorings with identical conflict-round
-    // counts to the full per-round exchange, for every N, strategy, and
-    // overlap setting — and it must never move more bytes.
+    // counts to the full per-round exchange, for every N and strategy —
+    // and it must never move more bytes.
     #[test]
     fn delta_halo_matches_full_halo(g in arb_graph(), seed in 0u64..100) {
         let c = colorer_by_name("Gunrock/Color_IS").unwrap();
         for n in [2usize, 4, 8] {
             for strategy in [PartitionStrategy::Contiguous, PartitionStrategy::BfsGrown] {
-                for overlap in [false, true] {
-                    let mut full = ShardedConfig::new(n);
-                    full.strategy = strategy;
-                    full.overlap = overlap;
-                    full.delta_halo = false;
-                    let mut delta = full.clone();
-                    delta.delta_halo = true;
-                    let a = run_sharded(&c, &g, seed, &full);
-                    let b = run_sharded(&c, &g, seed, &delta);
-                    prop_assert_eq!(
-                        a.result.coloring.as_slice(),
-                        b.result.coloring.as_slice(),
-                        "delta halo diverged (n={}, {:?}, overlap={})", n, strategy, overlap
-                    );
-                    prop_assert_eq!(
-                        a.conflict_rounds, b.conflict_rounds,
-                        "round counts diverged (n={}, {:?}, overlap={})", n, strategy, overlap
-                    );
-                    prop_assert!(
-                        b.halo_bytes_delta <= a.halo_bytes_delta,
-                        "delta moved more bytes than full (n={}, {:?}): {} > {}",
-                        n, strategy, b.halo_bytes_delta, a.halo_bytes_delta
-                    );
-                    prop_assert!(b.verified && a.verified);
-                }
+                let mut full = ShardedConfig::new(n);
+                full.strategy = strategy;
+                full.delta_halo = false;
+                let mut delta = full.clone();
+                delta.delta_halo = true;
+                let a = run_sharded(&c, &g, seed, &full);
+                let b = run_sharded(&c, &g, seed, &delta);
+                prop_assert_eq!(
+                    a.result.coloring.as_slice(),
+                    b.result.coloring.as_slice(),
+                    "delta halo diverged (n={}, {:?})", n, strategy
+                );
+                prop_assert_eq!(
+                    a.conflict_rounds, b.conflict_rounds,
+                    "round counts diverged (n={}, {:?})", n, strategy
+                );
+                prop_assert!(
+                    b.halo_bytes_delta <= a.halo_bytes_delta,
+                    "delta moved more bytes than full (n={}, {:?}): {} > {}",
+                    n, strategy, b.halo_bytes_delta, a.halo_bytes_delta
+                );
+                prop_assert!(b.verified && a.verified);
             }
         }
     }
 
-    // The partition strategy and overlap knobs never change correctness:
-    // every combination yields a proper, verified coloring.
+    // The partition strategy never changes correctness: either one
+    // yields a proper, verified coloring.
     #[test]
-    fn strategy_and_overlap_knobs_preserve_correctness(g in arb_graph(), seed in 0u64..100) {
+    fn partition_strategies_preserve_correctness(g in arb_graph(), seed in 0u64..100) {
         let c = colorer_by_name("Gunrock/Color_Hash").unwrap();
         for strategy in [PartitionStrategy::Contiguous, PartitionStrategy::BfsGrown] {
-            for overlap in [false, true] {
-                let mut cfg = ShardedConfig::new(4);
-                cfg.strategy = strategy;
-                cfg.overlap = overlap;
-                let sharded = run_sharded(&c, &g, seed, &cfg);
-                prop_assert!(
-                    is_proper(&g, sharded.result.coloring.as_slice()).is_ok(),
-                    "{:?} overlap={} produced an improper coloring", strategy, overlap
-                );
-                prop_assert!(sharded.verified);
-            }
+            let mut cfg = ShardedConfig::new(4);
+            cfg.strategy = strategy;
+            let sharded = run_sharded(&c, &g, seed, &cfg);
+            prop_assert!(
+                is_proper(&g, sharded.result.coloring.as_slice()).is_ok(),
+                "{:?} produced an improper coloring", strategy
+            );
+            prop_assert!(sharded.verified);
         }
     }
 }
@@ -216,6 +210,30 @@ fn multi_device_run_meters_halo_traffic_and_spreads_work() {
     );
     // Every device that exchanged halo data billed d2d traffic.
     assert!(quad.per_device.iter().any(|d| d.d2d_bytes > 0));
+}
+
+#[test]
+fn merged_profile_counts_every_device_kernel() {
+    // The merged report's kernel totals must cover every device, so they
+    // equal the sums of its own per-kernel rows.
+    let g = generators::erdos_renyi(2000, 0.004, 3);
+    let c = colorer_by_name("Gunrock/Color_IS").unwrap();
+    for n in [2usize, 4] {
+        let sharded = run_sharded(&c, &g, 7, &ShardedConfig::new(n));
+        let p = sharded.result.profile.as_ref().expect("profile attached");
+        let rows = |f: fn(&gc_vgpu::profiler::KernelSummary) -> u64| -> u64 {
+            p.by_kernel.values().map(f).sum()
+        };
+        assert_eq!(p.kernel_bytes, rows(|s| s.total_bytes), "{n} devices");
+        assert_eq!(p.kernel_atomics, rows(|s| s.total_atomics), "{n} devices");
+        assert_eq!(
+            p.thread_executions,
+            rows(|s| s.total_threads),
+            "{n} devices"
+        );
+        let per_device: u64 = sharded.per_device.iter().map(|d| d.thread_executions).sum();
+        assert_eq!(p.thread_executions, per_device, "{n} devices");
+    }
 }
 
 #[test]

@@ -42,13 +42,6 @@ pub struct DeviceConfig {
     pub memcpy_latency_cycles: u64,
     /// Host↔device copy: PCIe bandwidth in bytes per core clock cycle.
     pub pcie_bytes_per_cycle: f64,
-    /// Fast-meter mode: the cost model runs in full (identical
-    /// `model_ms`, thread-executions, launches, and bytes), but the
-    /// device keeps no per-kernel record history and emits no telemetry
-    /// spans — the configuration for million-vertex scale sweeps where
-    /// the per-launch bookkeeping would dominate host time and memory.
-    /// See [`DeviceConfig::fast_meter`].
-    pub fast_meter: bool,
 }
 
 impl DeviceConfig {
@@ -74,7 +67,6 @@ impl DeviceConfig {
             // ~8 us latency per cudaMemcpy plus ~10 GB/s effective PCIe 3.
             memcpy_latency_cycles: 6000,
             pcie_bytes_per_cycle: 13.4,
-            fast_meter: false,
         }
     }
 
@@ -103,7 +95,6 @@ impl DeviceConfig {
             memcpy_latency_cycles: 9000,
             // ~12 GB/s effective PCIe 3 x16.
             pcie_bytes_per_cycle: 8.7,
-            fast_meter: false,
         }
     }
 
@@ -125,23 +116,7 @@ impl DeviceConfig {
             sync_overhead_cycles: 50,
             memcpy_latency_cycles: 200,
             pcie_bytes_per_cycle: 4.0,
-            fast_meter: false,
         }
-    }
-
-    /// Turns on fast-meter mode (builder style):
-    /// `DeviceConfig::k40c().fast_meter()`.
-    ///
-    /// A fast-meter device bills exactly the same model time, thread
-    /// executions, launches, and bytes as a tracked one — the access
-    /// classifier and every cost term still run — but it records no
-    /// per-kernel history (`by_kernel` is empty), keeps only aggregate
-    /// counters, and emits no telemetry spans even when a tracer is
-    /// current. Property tests pin the bit-identity; the scale sweep
-    /// (`repro scale-sweep`) runs on fast-meter devices.
-    pub fn fast_meter(mut self) -> Self {
-        self.fast_meter = true;
-        self
     }
 
     /// Converts model cycles to model nanoseconds.

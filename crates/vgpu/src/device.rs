@@ -16,7 +16,7 @@ use rayon::prelude::*;
 use crate::buffer::DeviceBuffer;
 use crate::config::DeviceConfig;
 use crate::cost::{kernel_cost, memcpy_cost, LaunchStats};
-use crate::profiler::{intern_name, CopyEngine, KernelRecord, ProfileReport, Profiler};
+use crate::profiler::{intern_name, KernelRecord, ProfileReport, Profiler};
 use crate::scalar::Scalar;
 use crate::thread::{intern_costs, ConfigCosts, ThreadCounters, ThreadCtx};
 
@@ -49,11 +49,11 @@ pub struct Device {
 /// thread: below this, rayon's fork-join costs more than it buys.
 const SERIAL_BLOCK_LIMIT: usize = 4;
 
-/// Completion handle of an asynchronous transfer
-/// ([`Device::upload_async`], [`Device::peer_transfer_async`]).
+/// Completion handle of an asynchronous peer transfer
+/// ([`Device::peer_transfer_async`]).
 ///
 /// The event pins the transfer's completion on the device's *absolute*
-/// model clock (the axis that survives [`Device::reset`]), so an upload
+/// model clock (the axis that survives [`Device::reset`]), so a copy
 /// issued before a colorer's run-start reset can still be awaited
 /// meaningfully afterwards. [`Device::wait_event`] bills the waiting
 /// device only for the part of the copy its compute since issue did not
@@ -61,7 +61,6 @@ const SERIAL_BLOCK_LIMIT: usize = 4;
 /// the synchronous transfer paths bill.
 #[derive(Clone, Copy, Debug)]
 pub struct TransferEvent {
-    engine: CopyEngine,
     bytes: u64,
     cost_cycles: f64,
     completion_abs: f64,
@@ -121,24 +120,15 @@ impl Device {
     pub fn new(cfg: DeviceConfig) -> Self {
         Device {
             costs: intern_costs(&cfg),
-            profiler: Mutex::new(Profiler::new(cfg.fast_meter)),
+            profiler: Mutex::new(Profiler::new()),
             cfg,
         }
     }
 
-    /// Whether this device runs in fast-meter mode (see
-    /// [`DeviceConfig::fast_meter`]): identical model metrics, no
-    /// per-kernel history, no telemetry spans.
+    /// Wall and model start of a telemetry span, when a tracer is current.
     #[inline]
-    pub fn is_fast_meter(&self) -> bool {
-        self.cfg.fast_meter
-    }
-
-    /// `true` when this call should emit telemetry spans: a tracer is
-    /// current *and* the device is not in fast-meter mode.
-    #[inline]
-    fn traced(&self) -> bool {
-        !self.cfg.fast_meter && gc_telemetry::enabled()
+    fn trace_start(&self) -> Option<(Instant, f64)> {
+        gc_telemetry::enabled().then(|| (Instant::now(), self.elapsed_ms()))
     }
 
     /// The paper's GPU.
@@ -164,7 +154,7 @@ impl Device {
     where
         F: Fn(&mut ThreadCtx) + Sync,
     {
-        let trace_start = self.traced().then(|| (Instant::now(), self.elapsed_ms()));
+        let trace_start = self.trace_start();
         let name = intern_name(name);
         let costs = self.costs;
         let warp = self.cfg.warp_size as usize;
@@ -238,7 +228,6 @@ impl Device {
         self.profiler.lock().unwrap().record_kernel(KernelRecord {
             name,
             threads: stats.threads,
-            warps: stats.warps,
             bytes: stats.bytes,
             atomics: stats.atomics,
             cost,
@@ -286,7 +275,7 @@ impl Device {
     /// replay reports a `replay` span carrying the graph's name, kernel
     /// count, and resolved extent.
     pub fn replay(&self, graph: &LaunchGraph<'_>) {
-        let trace_start = self.traced().then(|| (Instant::now(), self.elapsed_ms()));
+        let trace_start = self.trace_start();
         self.profiler.lock().unwrap().begin_replay();
         (graph.body)();
         let (kernels, extent) = self
@@ -313,7 +302,7 @@ impl Device {
     /// bills the sync overhead. Kernel launches already include the
     /// implicit same-stream ordering cost.
     pub fn sync(&self) {
-        let trace_start = self.traced().then(|| (Instant::now(), self.elapsed_ms()));
+        let trace_start = self.trace_start();
         let cycles = self.cfg.sync_overhead_cycles as f64;
         self.profiler.lock().unwrap().record_sync(cycles);
         if let Some((wall0, model0)) = trace_start {
@@ -329,7 +318,7 @@ impl Device {
 
     /// Metered host→device transfer.
     pub fn upload<T: Scalar>(&self, data: &[T]) -> DeviceBuffer<T> {
-        let trace_start = self.traced().then(|| (Instant::now(), self.elapsed_ms()));
+        let trace_start = self.trace_start();
         let bytes = data.len() as u64 * T::BYTES;
         let cycles = memcpy_cost(&self.cfg, bytes);
         self.profiler.lock().unwrap().record_memcpy(bytes, cycles);
@@ -339,7 +328,7 @@ impl Device {
 
     /// Metered device→host transfer.
     pub fn download<T: Scalar>(&self, buf: &DeviceBuffer<T>) -> Vec<T> {
-        let trace_start = self.traced().then(|| (Instant::now(), self.elapsed_ms()));
+        let trace_start = self.trace_start();
         let bytes = buf.size_bytes();
         let cycles = memcpy_cost(&self.cfg, bytes);
         self.profiler.lock().unwrap().record_memcpy(bytes, cycles);
@@ -365,7 +354,7 @@ impl Device {
             dst.len(),
             "peer_transfer requires equal-length buffers"
         );
-        let trace_start = self.traced().then(|| (Instant::now(), self.elapsed_ms()));
+        let trace_start = self.trace_start();
         let bytes = src.size_bytes();
         self.profiler
             .lock()
@@ -377,35 +366,6 @@ impl Device {
             .record_d2d(bytes, memcpy_cost(&peer.cfg, bytes));
         dst.copy_from_slice(&src.to_vec());
         self.trace_memcpy("vgpu::memcpy_d2d", trace_start, bytes);
-    }
-
-    /// Asynchronous metered host→device transfer: the data is staged
-    /// immediately, but the copy's cost occupies the H2D engine instead
-    /// of the device clock. The returned event must be awaited with
-    /// [`Device::wait_event`] before the buffer's contents are read by a
-    /// kernel; the wait bills only the part of the copy that kernel work
-    /// issued in between did not hide.
-    ///
-    /// The memcpy *counters* bill at the wait too, so an upload issued
-    /// before a colorer's run-start [`Device::reset`] is attributed to
-    /// the profiling window that actually consumed it.
-    pub fn upload_async<T: Scalar>(&self, data: &[T]) -> (DeviceBuffer<T>, TransferEvent) {
-        let bytes = data.len() as u64 * T::BYTES;
-        let cost = memcpy_cost(&self.cfg, bytes);
-        let mut p = self.profiler.lock().unwrap();
-        let start = p.abs_cycles().max(p.engine_free_abs(CopyEngine::H2d));
-        let completion = start + cost;
-        p.occupy_engine(CopyEngine::H2d, completion);
-        drop(p);
-        (
-            DeviceBuffer::from_slice(data),
-            TransferEvent {
-                engine: CopyEngine::H2d,
-                bytes,
-                cost_cycles: cost,
-                completion_abs: completion,
-            },
-        )
     }
 
     /// Asynchronous metered device→device (peer) copy: `src` on this
@@ -442,36 +402,31 @@ impl Device {
             src.len(),
             dst.len()
         );
-        let trace_start = self.traced().then(|| (Instant::now(), self.elapsed_ms()));
+        let trace_start = self.trace_start();
         let bytes = src.size_bytes();
         let cost = memcpy_cost(&self.cfg, bytes);
         // Locks are taken one at a time (issue is host-orchestrated, so
         // no interleaving races).
         let (self_abs, self_free) = {
             let p = self.profiler.lock().unwrap();
-            (p.abs_cycles(), p.engine_free_abs(CopyEngine::D2d))
+            (p.abs_cycles(), p.engine_free_abs())
         };
-        let peer_free = peer
-            .profiler
-            .lock()
-            .unwrap()
-            .engine_free_abs(CopyEngine::D2d);
+        let peer_free = peer.profiler.lock().unwrap().engine_free_abs();
         let start = self_abs.max(self_free).max(peer_free);
         let completion = start + cost;
         {
             let mut p = self.profiler.lock().unwrap();
-            p.occupy_engine(CopyEngine::D2d, completion);
+            p.occupy_engine(completion);
             p.record_d2d_issue(bytes);
         }
         {
             let mut p = peer.profiler.lock().unwrap();
-            p.occupy_engine(CopyEngine::D2d, completion);
+            p.occupy_engine(completion);
             p.record_d2d_issue(bytes);
         }
         dst.copy_from_slice_at(dst_off, &src.to_vec());
         self.trace_memcpy("vgpu::memcpy_d2d_async", trace_start, bytes);
         TransferEvent {
-            engine: CopyEngine::D2d,
             bytes,
             cost_cycles: cost,
             completion_abs: completion,
@@ -483,12 +438,10 @@ impl Device {
     /// transfer and this wait hides the rest, credited to the engine's
     /// overlapped counter in the profile).
     pub fn wait_event(&self, ev: &TransferEvent) {
-        self.profiler.lock().unwrap().record_async_wait(
-            ev.engine,
-            ev.bytes,
-            ev.cost_cycles,
-            ev.completion_abs,
-        );
+        self.profiler
+            .lock()
+            .unwrap()
+            .record_async_wait(ev.cost_cycles, ev.completion_abs);
     }
 
     /// Counts one halo-exchange round on this device's profile (the
@@ -892,63 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_meter_matches_tracked_metrics_without_history() {
-        let run = |fast: bool| {
-            let cfg = if fast {
-                DeviceConfig::test_tiny().fast_meter()
-            } else {
-                DeviceConfig::test_tiny()
-            };
-            let dev = Device::new(cfg);
-            let data = dev.upload(&(0..2000u32).collect::<Vec<_>>());
-            let counter = DeviceBuffer::<u32>::zeroed(1);
-            dev.launch("work", 2000, |t| {
-                let i = t.tid();
-                let v = t.read(&data, i);
-                t.write(&data, i, v.wrapping_mul(3));
-                if v % 7 == 0 {
-                    t.atomic_add(&counter, 0, 1);
-                }
-            });
-            dev.sync();
-            (dev.download(&data), dev.elapsed_cycles(), dev.profile())
-        };
-        let (d_tracked, c_tracked, p_tracked) = run(false);
-        let (d_fast, c_fast, p_fast) = run(true);
-        assert_eq!(d_tracked, d_fast, "results must be bit-identical");
-        assert_eq!(c_tracked, c_fast, "model clock must be bit-identical");
-        assert_eq!(p_tracked.launches, p_fast.launches);
-        assert_eq!(p_tracked.thread_executions, p_fast.thread_executions);
-        assert_eq!(p_tracked.kernel_bytes, p_fast.kernel_bytes);
-        assert_eq!(p_tracked.kernel_atomics, p_fast.kernel_atomics);
-        assert!(!p_tracked.by_kernel.is_empty());
-        assert!(p_fast.by_kernel.is_empty(), "fast meter keeps no history");
-    }
-
-    #[test]
-    fn fast_meter_device_emits_no_spans_even_when_traced() {
-        let tracer = gc_telemetry::Tracer::new();
-        {
-            let _cur = tracer.make_current();
-            let dev = Device::new(DeviceConfig::test_tiny().fast_meter());
-            let buf = dev.upload(&[1u32, 2, 3]);
-            dev.launch("quiet", 3, |t| {
-                let i = t.tid();
-                let v = t.read(&buf, i);
-                t.write(&buf, i, v + 1);
-            });
-            dev.sync();
-            let _ = dev.download(&buf);
-            let graph = dev.capture("pipe", || dev.launch("k", 3, |t| t.charge(1)));
-            dev.replay(&graph);
-        }
-        assert!(
-            tracer.records().is_empty(),
-            "fast-meter devices must not emit telemetry spans"
-        );
-    }
-
-    #[test]
     fn profile_reports_launch_overhead_ms() {
         let cfg = DeviceConfig::test_tiny(); // 1 GHz: cycles == ns
         let dev = Device::new(cfg);
@@ -999,24 +895,6 @@ mod tests {
             "overlap {} must beat serial {}",
             overlapped.0,
             serial.0
-        );
-    }
-
-    #[test]
-    fn async_upload_event_survives_reset() {
-        let cfg = DeviceConfig::test_tiny();
-        let dev = Device::new(cfg);
-        let (buf, ev) = dev.upload_async(&vec![3u32; 1024]);
-        dev.reset(); // what every colorer does at run start
-        dev.launch("work", 64, |t| t.charge(1));
-        dev.wait_event(&ev);
-        assert_eq!(buf.to_vec(), vec![3u32; 1024]);
-        let prof = dev.profile();
-        assert_eq!(prof.memcpys, 1, "the upload bills in the reset window");
-        assert_eq!(prof.memcpy_bytes, 4096);
-        assert!(
-            prof.h2d_overlapped_cycles > 0.0,
-            "the kernel issued before the wait hides part of the copy"
         );
     }
 

@@ -56,7 +56,7 @@ pub mod thread;
 pub use buffer::{DeviceBuffer, SeqRun};
 pub use config::DeviceConfig;
 pub use device::{Device, LaunchGraph, TransferEvent};
-pub use profiler::{CopyEngine, KernelRecord, ProfileReport};
+pub use profiler::{KernelRecord, ProfileReport};
 pub use scalar::Scalar;
 pub use thread::ThreadCtx;
 

@@ -376,98 +376,6 @@ where
         .collect()
 }
 
-/// Least-significant-digit radix sort of `u32` keys, 8 bits per pass.
-///
-/// Four passes, each the standard three-kernel chain (per-block digit
-/// histogram, scan of the digit table, stable scatter); the scatter's
-/// writes are genuinely scattered and billed as transactions, which is
-/// why GPU sorts are bandwidth-hungry. Returns the sorted buffer.
-pub fn radix_sort(dev: &Device, name: &str, keys: &DeviceBuffer<u32>) -> DeviceBuffer<u32> {
-    const BITS: u32 = 8;
-    const BUCKETS: usize = 1 << BITS;
-    let n = keys.len();
-    let mut current = keys.to_vec();
-    let out = DeviceBuffer::<u32>::zeroed(n);
-    if n == 0 {
-        dev.launch(name, 0, |_| {});
-        return out;
-    }
-    for pass in 0..(32 / BITS) {
-        let shift = pass * BITS;
-        // Kernel 1: digit histogram.
-        let hist = DeviceBuffer::<u32>::zeroed(BUCKETS);
-        let cur_dev = DeviceBuffer::from_slice(&current);
-        dev.launch(&format!("{name}:hist{pass}"), n, |t| {
-            let i = t.tid();
-            let k = t.read(&cur_dev, i);
-            let digit = ((k >> shift) as usize) & (BUCKETS - 1);
-            t.atomic_add(&hist, digit, 1);
-        });
-        // Kernel 2: scan of the digit table.
-        let (_, _) = exclusive_scan(dev, &format!("{name}:scan{pass}"), &hist);
-        // Kernel 3: stable scatter by digit.
-        dev.launch(&format!("{name}:scatter{pass}"), n, |t| {
-            let i = t.tid();
-            let k = t.read(&cur_dev, i);
-            // Billed as a scattered write through a synthetic index: the
-            // position is data-dependent.
-            t.write(&out, (i * 7 + 13) % n, k);
-        });
-        // Host mirror of the stable pass.
-        let mut counts = vec![0usize; BUCKETS];
-        for &k in &current {
-            counts[((k >> shift) as usize) & (BUCKETS - 1)] += 1;
-        }
-        let mut offsets = vec![0usize; BUCKETS];
-        for b in 1..BUCKETS {
-            offsets[b] = offsets[b - 1] + counts[b - 1];
-        }
-        let mut next = vec![0u32; n];
-        for &k in &current {
-            let d = ((k >> shift) as usize) & (BUCKETS - 1);
-            next[offsets[d]] = k;
-            offsets[d] += 1;
-        }
-        current = next;
-    }
-    out.copy_from_slice(&current);
-    out
-}
-
-/// Gather: `out[i] = values[indices[i]]` (one metered kernel; the
-/// scattered reads bill full transactions, as on hardware).
-pub fn gather<T: Scalar>(
-    dev: &Device,
-    name: &str,
-    values: &DeviceBuffer<T>,
-    indices: &DeviceBuffer<u32>,
-) -> DeviceBuffer<T> {
-    let n = indices.len();
-    let out = DeviceBuffer::<T>::zeroed(n);
-    dev.launch(name, n, |t| {
-        let i = t.tid();
-        let idx = t.read(indices, i) as usize;
-        let v = t.read(values, idx);
-        t.write(&out, i, v);
-    });
-    out
-}
-
-/// Histogram over `bins` buckets with atomic increments — the classic
-/// contended-atomics kernel; useful for degree distributions and as an
-/// atomics stress test for the cost model.
-pub fn histogram(dev: &Device, name: &str, keys: &DeviceBuffer<u32>, bins: usize) -> Vec<u64> {
-    let counts = DeviceBuffer::<u32>::zeroed(bins);
-    dev.launch(name, keys.len(), |t| {
-        let i = t.tid();
-        let k = t.read(keys, i) as usize;
-        if k < bins {
-            t.atomic_add(&counts, k, 1);
-        }
-    });
-    counts.to_vec().into_iter().map(u64::from).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,79 +601,6 @@ mod tests {
         let d = dev();
         let values = DeviceBuffer::from_slice(&[1u32, 2]);
         segmented_reduce(&d, "bad", &values, &[0, 1], 0u32, |a, b| a + b);
-    }
-
-    #[test]
-    fn radix_sort_sorts() {
-        let d = dev();
-        let keys = DeviceBuffer::from_slice(&[170u32, 45, 75, 90, 2, 802, 24, 66]);
-        let out = radix_sort(&d, "sort", &keys);
-        assert_eq!(out.to_vec(), vec![2, 24, 45, 66, 75, 90, 170, 802]);
-    }
-
-    #[test]
-    fn radix_sort_handles_duplicates_and_extremes() {
-        let d = dev();
-        let keys = DeviceBuffer::from_slice(&[u32::MAX, 0, 7, 7, u32::MAX, 1]);
-        let out = radix_sort(&d, "sort", &keys);
-        assert_eq!(out.to_vec(), vec![0, 1, 7, 7, u32::MAX, u32::MAX]);
-    }
-
-    #[test]
-    fn radix_sort_empty() {
-        let d = dev();
-        let keys = DeviceBuffer::<u32>::zeroed(0);
-        assert_eq!(radix_sort(&d, "sort", &keys).len(), 0);
-    }
-
-    #[test]
-    fn radix_sort_bills_multiple_passes() {
-        let d = dev();
-        let keys = DeviceBuffer::from_slice(&[3u32, 1, 2]);
-        let _ = radix_sort(&d, "sort", &keys);
-        let r = d.profile();
-        // 4 passes x (hist + scan chain + scatter).
-        assert!(r.launches >= 12, "{} launches", r.launches);
-    }
-
-    #[test]
-    fn gather_matches_reference() {
-        let d = dev();
-        let values = DeviceBuffer::from_slice(&[10u32, 20, 30, 40]);
-        let indices = DeviceBuffer::from_slice(&[3u32, 0, 0, 2]);
-        let out = gather(&d, "g", &values, &indices);
-        assert_eq!(out.to_vec(), vec![40, 10, 10, 30]);
-    }
-
-    #[test]
-    fn gather_empty() {
-        let d = dev();
-        let values = DeviceBuffer::from_slice(&[1u32]);
-        let indices = DeviceBuffer::<u32>::zeroed(0);
-        assert_eq!(gather(&d, "g", &values, &indices).len(), 0);
-    }
-
-    #[test]
-    fn histogram_counts_keys() {
-        let d = dev();
-        let keys = DeviceBuffer::from_slice(&[0u32, 1, 1, 2, 1, 0]);
-        assert_eq!(histogram(&d, "h", &keys, 4), vec![2, 3, 1, 0]);
-    }
-
-    #[test]
-    fn histogram_ignores_out_of_range() {
-        let d = dev();
-        let keys = DeviceBuffer::from_slice(&[0u32, 99, 1]);
-        assert_eq!(histogram(&d, "h", &keys, 2), vec![1, 1]);
-    }
-
-    #[test]
-    fn histogram_bills_atomics() {
-        let d = dev();
-        let keys = DeviceBuffer::<u32>::zeroed(100);
-        let _ = histogram(&d, "h", &keys, 4);
-        let rec = &d.profile().by_kernel["h"];
-        assert_eq!(rec.total_atomics, 100);
     }
 
     #[test]

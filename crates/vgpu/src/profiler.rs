@@ -1,6 +1,7 @@
-//! Kernel-level profiler: records every launch, sync, and transfer so
-//! benches can explain *why* one implementation's model time differs from
-//! another's (the paper's §V profiling discussion).
+//! Kernel-level profiler: meters every launch, sync, and transfer into
+//! running totals, per kernel name and per device, so benches can
+//! explain *why* one implementation's model time differs from another's
+//! (the paper's §V profiling discussion).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, OnceLock};
@@ -24,13 +25,12 @@ pub fn intern_name(name: &str) -> &'static str {
     leaked
 }
 
-/// One recorded kernel launch.
+/// One kernel launch, as the device bills it.
 #[derive(Clone, Debug)]
 pub struct KernelRecord {
     /// Interned kernel name (see [`intern_name`]).
     pub name: &'static str,
     pub threads: u64,
-    pub warps: u64,
     pub bytes: u64,
     pub atomics: u64,
     pub cost: KernelCost,
@@ -51,17 +51,47 @@ pub struct KernelSummary {
     pub max_launch_cycles: f64,
 }
 
-/// Which simulated copy engine an asynchronous transfer occupies: the
-/// host↔device DMA engine or the device↔device peer link. Each engine
-/// serializes its own transfers (back-to-back async copies queue behind
-/// each other) but runs concurrently with kernel execution — that
-/// concurrency is what [`Profiler::record_async_wait`] bills as overlap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CopyEngine {
-    /// Host↔device transfers (`upload_async`).
-    H2d,
-    /// Device↔device peer transfers (`peer_transfer_async`).
-    D2d,
+impl KernelSummary {
+    /// Adds one launch: sums accumulate in launch order, and the
+    /// dominant bound is that of the first strictly most expensive
+    /// launch.
+    fn add(&mut self, rec: &KernelRecord) {
+        self.launches += 1;
+        self.total_threads += rec.threads;
+        self.total_cycles += rec.cost.total_cycles;
+        self.total_bytes += rec.bytes;
+        self.total_atomics += rec.atomics;
+        if rec.cost.total_cycles > self.max_launch_cycles {
+            self.max_launch_cycles = rec.cost.total_cycles;
+            self.dominant_bound = rec.cost.bound_by();
+        }
+    }
+
+    /// Folds in `other`'s totals for the same kernel name: counts and
+    /// cycles sum, and the dominant bound moves to `other` only if its
+    /// most expensive launch is strictly larger — the rule
+    /// [`Profiler::record_kernel`] applies per launch, with `self`'s
+    /// launches taken as first.
+    pub fn merge(&mut self, other: &KernelSummary) {
+        let KernelSummary {
+            launches,
+            total_threads,
+            total_cycles,
+            total_bytes,
+            total_atomics,
+            dominant_bound,
+            max_launch_cycles,
+        } = other;
+        self.launches += launches;
+        self.total_threads += total_threads;
+        self.total_cycles += total_cycles;
+        self.total_bytes += total_bytes;
+        self.total_atomics += total_atomics;
+        if *max_launch_cycles > self.max_launch_cycles {
+            self.max_launch_cycles = *max_launch_cycles;
+            self.dominant_bound = *dominant_bound;
+        }
+    }
 }
 
 /// In-flight state of one launch-graph replay (see
@@ -80,21 +110,10 @@ struct GraphReplay {
 /// Mutable profiler state owned by a device.
 #[derive(Debug)]
 pub struct Profiler {
-    /// Fast-meter mode: keep only the scalar aggregates below — no
-    /// [`KernelRecord`] history, so `by_kernel` comes back empty and
-    /// memory stays O(1) however many launches run. Every aggregate a
-    /// report carries is maintained incrementally in *both* modes, so
-    /// fast and tracked devices report identical numbers.
-    fast: bool,
-    records: Vec<KernelRecord>,
-    /// Σ simulated thread executions, maintained incrementally (the
-    /// tracked path could derive it from `records`; the fast path has no
-    /// records to derive from).
-    thread_executions: u64,
-    /// Σ kernel global-memory bytes, maintained incrementally.
-    kernel_bytes: u64,
-    /// Σ kernel atomics, maintained incrementally.
-    kernel_atomics: u64,
+    /// Per-kernel-name totals, updated on every launch: memory stays
+    /// bounded by the number of kernel names however long the device
+    /// lives, and a report costs one copy of this table.
+    by_kernel: BTreeMap<&'static str, KernelSummary>,
     /// Host-visible dispatches: ordinary launches plus one per graph
     /// replay (a replay's interior kernels are *not* separate dispatches
     /// — that is the entire point of capturing them).
@@ -125,8 +144,6 @@ pub struct Profiler {
     /// `cost - stall` at the wait point. The overlap headline of the
     /// sharded halo exchange.
     d2d_overlapped_cycles: f64,
-    /// H2D cycles hidden behind compute by `upload_async`.
-    h2d_overlapped_cycles: f64,
     /// D2D cycles the waiting device actually stalled for (the part of
     /// an async transfer compute did *not* cover).
     d2d_stall_cycles: f64,
@@ -138,27 +155,21 @@ pub struct Profiler {
     /// timestamped on this axis so an event issued before a colorer's
     /// run-start reset stays meaningful when awaited after it.
     abs_cycles: f64,
-    /// Absolute time the H2D copy engine becomes free (never reset).
-    h2d_free_abs: f64,
-    /// Absolute time the D2D peer link becomes free (never reset).
+    /// Absolute time the peer-link copy engine becomes free (never
+    /// reset).
     d2d_free_abs: f64,
 }
 
 impl Default for Profiler {
     fn default() -> Self {
-        Self::new(false)
+        Self::new()
     }
 }
 
 impl Profiler {
-    /// A profiler in tracked (`fast == false`) or fast-meter mode.
-    pub fn new(fast: bool) -> Self {
+    pub fn new() -> Self {
         Profiler {
-            fast,
-            records: Vec::new(),
-            thread_executions: 0,
-            kernel_bytes: 0,
-            kernel_atomics: 0,
+            by_kernel: BTreeMap::new(),
             launches: 0,
             syncs: 0,
             memcpys: 0,
@@ -173,17 +184,13 @@ impl Profiler {
             replay: None,
             pool_base: pool::stats(),
             d2d_overlapped_cycles: 0.0,
-            h2d_overlapped_cycles: 0.0,
             d2d_stall_cycles: 0.0,
             halo_rounds: 0,
             abs_cycles: 0.0,
-            h2d_free_abs: 0.0,
             d2d_free_abs: 0.0,
         }
     }
-}
 
-impl Profiler {
     pub fn record_kernel(&mut self, mut rec: KernelRecord) {
         if let Some(g) = &mut self.replay {
             // Inside a replay the kernel's work is billed in full but its
@@ -202,12 +209,7 @@ impl Profiler {
         }
         self.clock_cycles += rec.cost.total_cycles;
         self.abs_cycles += rec.cost.total_cycles;
-        self.thread_executions += rec.threads;
-        self.kernel_bytes += rec.bytes;
-        self.kernel_atomics += rec.atomics;
-        if !self.fast {
-            self.records.push(rec);
-        }
+        self.by_kernel.entry(rec.name).or_default().add(&rec);
     }
 
     /// Opens a graph replay; kernels recorded until [`Profiler::end_replay`]
@@ -275,23 +277,17 @@ impl Profiler {
         self.abs_cycles
     }
 
-    /// Absolute time `engine` becomes free for a new transfer.
-    pub fn engine_free_abs(&self, engine: CopyEngine) -> f64 {
-        match engine {
-            CopyEngine::H2d => self.h2d_free_abs,
-            CopyEngine::D2d => self.d2d_free_abs,
-        }
+    /// Absolute time the peer-link copy engine becomes free for a new
+    /// transfer.
+    pub fn engine_free_abs(&self) -> f64 {
+        self.d2d_free_abs
     }
 
-    /// Marks `engine` busy until the absolute time `until`. Engines only
-    /// move forward: an earlier `until` than the current horizon is a
-    /// no-op.
-    pub fn occupy_engine(&mut self, engine: CopyEngine, until: f64) {
-        let slot = match engine {
-            CopyEngine::H2d => &mut self.h2d_free_abs,
-            CopyEngine::D2d => &mut self.d2d_free_abs,
-        };
-        *slot = slot.max(until);
+    /// Marks the copy engine busy until the absolute time `until`. The
+    /// engine only moves forward: an earlier `until` than the current
+    /// horizon is a no-op.
+    pub fn occupy_engine(&mut self, until: f64) {
+        self.d2d_free_abs = self.d2d_free_abs.max(until);
     }
 
     /// Counts one async peer transfer at *issue* time: the transfer and
@@ -303,37 +299,19 @@ impl Profiler {
         self.d2d_bytes += bytes;
     }
 
-    /// Bills the wait point of an asynchronous transfer: the device
-    /// stalls for whatever part of the copy its compute since issue did
-    /// not cover (`completion_abs` vs. the current absolute clock), and
-    /// the covered remainder is credited to the engine's overlapped
+    /// Bills the wait point of an asynchronous peer transfer: the
+    /// device stalls for whatever part of the copy its compute since
+    /// issue did not cover (`completion_abs` vs. the current absolute
+    /// clock), and the covered remainder is credited to the overlapped
     /// counter. This is exactly `max(compute, transfer)` accounting — the
     /// synchronous path's serial `compute + transfer` sum minus the
-    /// overlap. H2D waits also count the memcpy itself here (not at
-    /// issue), so an upload issued before a colorer's run-start reset
-    /// still shows up in the window the report covers.
-    pub fn record_async_wait(
-        &mut self,
-        engine: CopyEngine,
-        bytes: u64,
-        cost_cycles: f64,
-        completion_abs: f64,
-    ) {
+    /// overlap.
+    pub fn record_async_wait(&mut self, cost_cycles: f64, completion_abs: f64) {
         let stall = (completion_abs - self.abs_cycles).max(0.0);
-        let overlapped = (cost_cycles - stall).max(0.0);
         self.clock_cycles += stall;
         self.abs_cycles += stall;
-        match engine {
-            CopyEngine::H2d => {
-                self.memcpys += 1;
-                self.memcpy_bytes += bytes;
-                self.h2d_overlapped_cycles += overlapped;
-            }
-            CopyEngine::D2d => {
-                self.d2d_overlapped_cycles += overlapped;
-                self.d2d_stall_cycles += stall;
-            }
-        }
+        self.d2d_overlapped_cycles += (cost_cycles - stall).max(0.0);
+        self.d2d_stall_cycles += stall;
     }
 
     /// Counts one halo-exchange round (the sharded runner's per-round
@@ -343,33 +321,20 @@ impl Profiler {
     }
 
     pub fn reset(&mut self) {
-        let (abs, h2d_free, d2d_free) = (self.abs_cycles, self.h2d_free_abs, self.d2d_free_abs);
-        *self = Profiler::new(self.fast);
+        let (abs, d2d_free) = (self.abs_cycles, self.d2d_free_abs);
+        *self = Profiler::new();
         self.abs_cycles = abs;
-        self.h2d_free_abs = h2d_free;
         self.d2d_free_abs = d2d_free;
     }
 
     pub fn report(&self) -> ProfileReport {
-        let mut by_kernel: BTreeMap<String, KernelSummary> = BTreeMap::new();
-        for r in &self.records {
-            let e = by_kernel.entry(r.name.to_string()).or_default();
-            e.launches += 1;
-            e.total_threads += r.threads;
-            e.total_cycles += r.cost.total_cycles;
-            e.total_bytes += r.bytes;
-            e.total_atomics += r.atomics;
-            if r.cost.total_cycles > e.max_launch_cycles {
-                e.max_launch_cycles = r.cost.total_cycles;
-                e.dominant_bound = r.cost.bound_by();
-            }
-        }
+        let sum = |f: fn(&KernelSummary) -> u64| self.by_kernel.values().map(f).sum();
         let pool_now = pool::stats();
         ProfileReport {
             launches: self.launches,
-            thread_executions: self.thread_executions,
-            kernel_bytes: self.kernel_bytes,
-            kernel_atomics: self.kernel_atomics,
+            thread_executions: sum(|s| s.total_threads),
+            kernel_bytes: sum(|s| s.total_bytes),
+            kernel_atomics: sum(|s| s.total_atomics),
             syncs: self.syncs,
             memcpys: self.memcpys,
             memcpy_bytes: self.memcpy_bytes,
@@ -382,17 +347,16 @@ impl Profiler {
             launch_overhead_saved_cycles: self.launch_overhead_saved_cycles,
             launch_overhead_ms: 0.0,
             d2d_overlapped_cycles: self.d2d_overlapped_cycles,
-            h2d_overlapped_cycles: self.h2d_overlapped_cycles,
             d2d_stall_cycles: self.d2d_stall_cycles,
             halo_rounds: self.halo_rounds,
             pool_hits: pool_now.hits - self.pool_base.hits,
             pool_misses: pool_now.misses - self.pool_base.misses,
-            by_kernel,
+            by_kernel: self
+                .by_kernel
+                .iter()
+                .map(|(&name, s)| (name.to_string(), s.clone()))
+                .collect(),
         }
-    }
-
-    pub fn records(&self) -> &[KernelRecord] {
-        &self.records
     }
 }
 
@@ -403,15 +367,12 @@ pub struct ProfileReport {
     /// replay. Kernels folded into a replay are counted under
     /// [`ProfileReport::graph_kernels`], not here.
     pub launches: u64,
-    /// Σ simulated thread executions over every recorded launch — the
+    /// Σ simulated thread executions over every launch — the
     /// work-efficiency metric frontier compaction is judged by.
     pub thread_executions: u64,
-    /// Σ kernel global-memory bytes over every launch. Maintained
-    /// incrementally so fast-meter reports carry it even with
-    /// [`ProfileReport::by_kernel`] empty.
+    /// Σ kernel global-memory bytes over every launch.
     pub kernel_bytes: u64,
-    /// Σ kernel atomic operations over every launch (incremental, like
-    /// [`ProfileReport::kernel_bytes`]).
+    /// Σ kernel atomic operations over every launch.
     pub kernel_atomics: u64,
     pub syncs: u64,
     pub memcpys: u64,
@@ -441,8 +402,6 @@ pub struct ProfileReport {
     /// sharded runner's overlap headline: `overlap_ratio` is this over
     /// the total D2D copy cost.
     pub d2d_overlapped_cycles: f64,
-    /// Async host↔device upload cycles hidden behind compute.
-    pub h2d_overlapped_cycles: f64,
     /// Async peer-transfer cycles the device actually stalled for at
     /// wait points (the un-hidden remainder).
     pub d2d_stall_cycles: f64,
@@ -458,90 +417,60 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Machine-readable CSV: one header row, one row per kernel, and a
-    /// final `_total` row carrying the launch/sync/transfer aggregates.
-    /// Shares its column vocabulary with [`ProfileReport::to_kv`] so the
-    /// bench harness and the serving layer emit one format.
-    ///
-    /// Kernel global-memory traffic and host↔device transfer traffic are
-    /// different quantities, so they get distinct columns: kernel rows
-    /// fill `kernel_bytes` (their global-memory bytes) and report 0
-    /// under `memcpy_bytes` (transfers are never attributed to a
-    /// kernel); the `_total` row carries both sums.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "kernel,launches,total_cycles,kernel_bytes,memcpy_bytes,total_atomics,dominant_bound\n",
-        );
-        for (name, s) in &self.by_kernel {
-            out.push_str(&format!(
-                "{},{},{:.0},{},0,{},{}\n",
-                name, s.launches, s.total_cycles, s.total_bytes, s.total_atomics, s.dominant_bound
-            ));
+    /// Folds in the report of a device that ran concurrently with this
+    /// one (the sharded runner's per-device profiles). Counters and cycle
+    /// totals sum; the clock and `halo_rounds` take the max, because the
+    /// devices run side by side and each takes part in every halo round;
+    /// kernel rows merge by name (see [`KernelSummary::merge`]).
+    pub fn merge(&mut self, other: &ProfileReport) {
+        // Exhaustive on purpose: a new field does not compile here until
+        // it is given a merge rule.
+        let ProfileReport {
+            launches,
+            thread_executions,
+            kernel_bytes,
+            kernel_atomics,
+            syncs,
+            memcpys,
+            memcpy_bytes,
+            d2d_transfers,
+            d2d_bytes,
+            clock_cycles,
+            graph_replays,
+            graph_kernels,
+            launch_overhead_cycles,
+            launch_overhead_saved_cycles,
+            launch_overhead_ms,
+            d2d_overlapped_cycles,
+            d2d_stall_cycles,
+            halo_rounds,
+            pool_hits,
+            pool_misses,
+            by_kernel,
+        } = other;
+        self.launches += launches;
+        self.thread_executions += thread_executions;
+        self.kernel_bytes += kernel_bytes;
+        self.kernel_atomics += kernel_atomics;
+        self.syncs += syncs;
+        self.memcpys += memcpys;
+        self.memcpy_bytes += memcpy_bytes;
+        self.d2d_transfers += d2d_transfers;
+        self.d2d_bytes += d2d_bytes;
+        self.clock_cycles = self.clock_cycles.max(*clock_cycles);
+        self.graph_replays += graph_replays;
+        self.graph_kernels += graph_kernels;
+        self.launch_overhead_cycles += launch_overhead_cycles;
+        self.launch_overhead_saved_cycles += launch_overhead_saved_cycles;
+        self.launch_overhead_ms += launch_overhead_ms;
+        self.d2d_overlapped_cycles += d2d_overlapped_cycles;
+        self.d2d_stall_cycles += d2d_stall_cycles;
+        self.halo_rounds = self.halo_rounds.max(*halo_rounds);
+        self.pool_hits += pool_hits;
+        self.pool_misses += pool_misses;
+        for (name, s) in by_kernel {
+            self.by_kernel.entry(name.clone()).or_default().merge(s);
         }
-        // The incremental sums, not a fold over by_kernel: a fast-meter
-        // report has no kernel rows but still carries exact totals.
-        out.push_str(&format!(
-            "_total,{},{:.0},{},{},{},-\n",
-            self.launches,
-            self.clock_cycles,
-            self.kernel_bytes,
-            self.memcpy_bytes,
-            self.kernel_atomics
-        ));
-        out
-    }
-
-    /// Line-delimited `key=value` dump: the report's scalar aggregates
-    /// followed by per-kernel entries under `kernel.<name>.<field>` keys.
-    pub fn to_kv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("launches={}\n", self.launches));
-        out.push_str(&format!("thread_executions={}\n", self.thread_executions));
-        out.push_str(&format!("kernel_bytes={}\n", self.kernel_bytes));
-        out.push_str(&format!("kernel_atomics={}\n", self.kernel_atomics));
-        out.push_str(&format!("syncs={}\n", self.syncs));
-        out.push_str(&format!("memcpys={}\n", self.memcpys));
-        out.push_str(&format!("memcpy_bytes={}\n", self.memcpy_bytes));
-        out.push_str(&format!("d2d_transfers={}\n", self.d2d_transfers));
-        out.push_str(&format!("d2d_bytes={}\n", self.d2d_bytes));
-        out.push_str(&format!("model_cycles={:.0}\n", self.clock_cycles));
-        out.push_str(&format!("graph_replays={}\n", self.graph_replays));
-        out.push_str(&format!("graph_kernels={}\n", self.graph_kernels));
-        out.push_str(&format!(
-            "launch_overhead_cycles={:.0}\n",
-            self.launch_overhead_cycles
-        ));
-        out.push_str(&format!(
-            "launch_overhead_saved_cycles={:.0}\n",
-            self.launch_overhead_saved_cycles
-        ));
-        out.push_str(&format!(
-            "d2d_overlapped_cycles={:.0}\n",
-            self.d2d_overlapped_cycles
-        ));
-        out.push_str(&format!(
-            "h2d_overlapped_cycles={:.0}\n",
-            self.h2d_overlapped_cycles
-        ));
-        out.push_str(&format!("d2d_stall_cycles={:.0}\n", self.d2d_stall_cycles));
-        out.push_str(&format!("halo_rounds={}\n", self.halo_rounds));
-        out.push_str(&format!("pool_hits={}\n", self.pool_hits));
-        out.push_str(&format!("pool_misses={}\n", self.pool_misses));
-        for (name, s) in &self.by_kernel {
-            let key = name.replace([' ', '='], "_");
-            out.push_str(&format!("kernel.{key}.launches={}\n", s.launches));
-            out.push_str(&format!(
-                "kernel.{key}.total_cycles={:.0}\n",
-                s.total_cycles
-            ));
-            out.push_str(&format!("kernel.{key}.total_bytes={}\n", s.total_bytes));
-            out.push_str(&format!("kernel.{key}.total_atomics={}\n", s.total_atomics));
-            out.push_str(&format!(
-                "kernel.{key}.dominant_bound={}\n",
-                s.dominant_bound
-            ));
-        }
-        out
     }
 
     /// Fraction of total model time spent in kernels whose name contains
@@ -589,13 +518,12 @@ impl std::fmt::Display for ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::KernelCost;
+    use crate::cost::{BoundBy, KernelCost};
 
     fn rec(name: &'static str, cycles: f64) -> KernelRecord {
         KernelRecord {
             name,
             threads: 10,
-            warps: 1,
             bytes: 100,
             atomics: 2,
             cost: KernelCost {
@@ -612,6 +540,8 @@ mod tests {
         p.record_sync(50.0);
         p.record_memcpy(64, 25.0);
         assert_eq!(p.clock_cycles(), 175.0);
+        let r = p.report();
+        assert_eq!((r.launches, r.syncs, r.memcpys), (1, 1, 1));
     }
 
     #[test]
@@ -642,11 +572,19 @@ mod tests {
         p.record_kernel(rec("color", 100.0));
         p.record_kernel(rec("color", 60.0));
         p.record_kernel(rec("check", 40.0));
+        p.record_memcpy(64, 25.0);
         let r = p.report();
         assert_eq!(r.launches, 3);
         assert_eq!(r.by_kernel["color"].launches, 2);
         assert_eq!(r.by_kernel["color"].total_cycles, 160.0);
         assert_eq!(r.by_kernel["check"].total_cycles, 40.0);
+        // Kernel global-memory bytes and transfer bytes stay apart: the
+        // rows carry their own bytes, the totals carry both sums.
+        assert_eq!(r.by_kernel["color"].total_bytes, 200);
+        assert_eq!(r.by_kernel["check"].total_bytes, 100);
+        assert_eq!((r.kernel_bytes, r.kernel_atomics), (300, 6));
+        assert_eq!(r.memcpy_bytes, 64);
+        assert_eq!(r.clock_cycles, 225.0);
     }
 
     #[test]
@@ -665,7 +603,9 @@ mod tests {
         p.record_kernel(rec("a", 10.0));
         p.reset();
         assert_eq!(p.clock_cycles(), 0.0);
-        assert!(p.records().is_empty());
+        let r = p.report();
+        assert!(r.by_kernel.is_empty());
+        assert_eq!((r.launches, r.thread_executions), (0, 0));
     }
 
     #[test]
@@ -677,53 +617,10 @@ mod tests {
         assert!(s.contains("launches=1"));
     }
 
-    #[test]
-    fn csv_has_header_kernel_rows_and_total() {
-        let mut p = Profiler::default();
-        p.record_kernel(rec("color", 100.0));
-        p.record_kernel(rec("color", 60.0));
-        p.record_kernel(rec("check", 40.0));
-        p.record_memcpy(64, 25.0);
-        let csv = p.report().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(
-            lines[0],
-            "kernel,launches,total_cycles,kernel_bytes,memcpy_bytes,total_atomics,dominant_bound"
-        );
-        // BTreeMap ordering: "check" before "color", then the total row.
-        // Kernel rows: own bytes under kernel_bytes, 0 under memcpy_bytes.
-        assert!(lines[1].starts_with("check,1,40,100,0,"));
-        assert!(lines[2].starts_with("color,2,160,200,0,"));
-        // _total: kernel-byte sum and memcpy-byte sum in distinct columns.
-        assert!(lines[3].starts_with("_total,3,225,300,64,6,"));
-        assert_eq!(lines.len(), 4);
-        // Every row has the same column count as the header.
-        for l in &lines {
-            assert_eq!(l.split(',').count(), 7, "bad row: {l}");
-        }
-    }
-
-    #[test]
-    fn kv_dump_is_line_delimited_pairs() {
-        let mut p = Profiler::default();
-        p.record_kernel(rec("vxm pass", 75.0));
-        p.record_sync(5.0);
-        let kv = p.report().to_kv();
-        assert!(kv.contains("launches=1\n"));
-        assert!(kv.contains("syncs=1\n"));
-        assert!(kv.contains("model_cycles=80\n"));
-        // Kernel names are sanitized so keys stay parseable.
-        assert!(kv.contains("kernel.vxm_pass.total_cycles=75\n"));
-        for line in kv.lines() {
-            assert_eq!(line.split('=').count(), 2, "bad kv line: {line}");
-        }
-    }
-
     fn rec_with_overhead(name: &'static str, overhead: f64, work: f64) -> KernelRecord {
         KernelRecord {
             name,
             threads: 10,
-            warps: 1,
             bytes: 100,
             atomics: 2,
             cost: KernelCost {
@@ -789,25 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn kv_dump_carries_replay_and_pool_counters() {
-        let mut p = Profiler::default();
-        p.begin_replay();
-        p.record_kernel(rec_with_overhead("a", 100.0, 40.0));
-        p.record_kernel(rec_with_overhead("b", 100.0, 60.0));
-        p.end_replay(100.0);
-        let kv = p.report().to_kv();
-        assert!(kv.contains("graph_replays=1\n"));
-        assert!(kv.contains("graph_kernels=2\n"));
-        assert!(kv.contains("launch_overhead_cycles=100\n"));
-        assert!(kv.contains("launch_overhead_saved_cycles=100\n"));
-        assert!(kv.contains("pool_hits="));
-        assert!(kv.contains("pool_misses="));
-        for line in kv.lines() {
-            assert_eq!(line.split('=').count(), 2, "bad kv line: {line}");
-        }
-    }
-
-    #[test]
     fn d2d_transfers_bill_and_report_separately_from_memcpys() {
         let mut p = Profiler::default();
         p.record_memcpy(64, 25.0);
@@ -819,47 +697,7 @@ mod tests {
         assert_eq!(r.memcpy_bytes, 64);
         assert_eq!(r.d2d_transfers, 2);
         assert_eq!(r.d2d_bytes, 256);
-        let kv = r.to_kv();
-        assert!(kv.contains("d2d_transfers=2\n"));
-        assert!(kv.contains("d2d_bytes=256\n"));
         assert!(r.to_string().contains("d2d=2 (256 B)"));
-    }
-
-    #[test]
-    fn fast_profiler_keeps_aggregates_without_records() {
-        let mut tracked = Profiler::default();
-        let mut fast = Profiler::new(true);
-        for p in [&mut tracked, &mut fast] {
-            p.record_kernel(rec("a", 100.0));
-            p.record_kernel(rec("b", 60.0));
-            p.record_sync(5.0);
-            p.record_memcpy(64, 25.0);
-        }
-        assert_eq!(tracked.clock_cycles(), fast.clock_cycles());
-        let (rt, rf) = (tracked.report(), fast.report());
-        assert_eq!(rt.launches, rf.launches);
-        assert_eq!(rt.thread_executions, rf.thread_executions);
-        assert_eq!(rt.kernel_bytes, rf.kernel_bytes);
-        assert_eq!(rt.kernel_atomics, rf.kernel_atomics);
-        assert!(fast.records().is_empty());
-        assert!(rf.by_kernel.is_empty());
-        // The CSV _total row matches exactly despite the missing kernel
-        // rows, and tracked's incremental totals agree with its rows.
-        assert_eq!(rt.to_csv().lines().last(), rf.to_csv().lines().last());
-        assert_eq!(
-            rt.kernel_bytes,
-            rt.by_kernel.values().map(|s| s.total_bytes).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn reset_preserves_fast_mode() {
-        let mut p = Profiler::new(true);
-        p.record_kernel(rec("a", 10.0));
-        p.reset();
-        assert_eq!(p.clock_cycles(), 0.0);
-        p.record_kernel(rec("a", 10.0));
-        assert!(p.records().is_empty(), "fast mode must survive reset");
     }
 
     #[test]
@@ -882,12 +720,12 @@ mod tests {
         // the stall is the uncovered 40 and the overlap is the hidden 60.
         let mut p = Profiler::default();
         let cost = 100.0;
-        let start = p.abs_cycles().max(p.engine_free_abs(CopyEngine::D2d));
+        let start = p.abs_cycles().max(p.engine_free_abs());
         let completion = start + cost;
-        p.occupy_engine(CopyEngine::D2d, completion);
+        p.occupy_engine(completion);
         p.record_d2d_issue(400);
         p.record_kernel(rec("compute", 60.0));
-        p.record_async_wait(CopyEngine::D2d, 400, cost, completion);
+        p.record_async_wait(cost, completion);
         assert_eq!(p.clock_cycles(), 100.0, "total = max(compute, transfer)");
         let r = p.report();
         assert_eq!(r.d2d_transfers, 1);
@@ -900,10 +738,10 @@ mod tests {
     fn async_wait_after_transfer_already_done_stalls_zero() {
         let mut p = Profiler::default();
         let completion = p.abs_cycles() + 30.0;
-        p.occupy_engine(CopyEngine::D2d, completion);
+        p.occupy_engine(completion);
         p.record_d2d_issue(8);
         p.record_kernel(rec("compute", 500.0));
-        p.record_async_wait(CopyEngine::D2d, 8, 30.0, completion);
+        p.record_async_wait(30.0, completion);
         assert_eq!(p.clock_cycles(), 500.0, "fully hidden transfer is free");
         assert_eq!(p.report().d2d_overlapped_cycles, 30.0);
         assert_eq!(p.report().d2d_stall_cycles, 0.0);
@@ -914,67 +752,148 @@ mod tests {
         let mut p = Profiler::default();
         // Two 50-cycle copies issued at t=0 queue on the engine: the
         // second starts when the first ends.
-        let s1 = p.abs_cycles().max(p.engine_free_abs(CopyEngine::D2d));
-        p.occupy_engine(CopyEngine::D2d, s1 + 50.0);
-        let s2 = p.abs_cycles().max(p.engine_free_abs(CopyEngine::D2d));
+        let s1 = p.abs_cycles().max(p.engine_free_abs());
+        p.occupy_engine(s1 + 50.0);
+        let s2 = p.abs_cycles().max(p.engine_free_abs());
         assert_eq!(s2, 50.0, "second copy queues behind the first");
-        p.occupy_engine(CopyEngine::D2d, s2 + 50.0);
-        assert_eq!(p.engine_free_abs(CopyEngine::D2d), 100.0);
-        // Engines never move backwards.
-        p.occupy_engine(CopyEngine::D2d, 10.0);
-        assert_eq!(p.engine_free_abs(CopyEngine::D2d), 100.0);
+        p.occupy_engine(s2 + 50.0);
+        assert_eq!(p.engine_free_abs(), 100.0);
+        // The engine never moves backwards.
+        p.occupy_engine(10.0);
+        assert_eq!(p.engine_free_abs(), 100.0);
     }
 
     #[test]
-    fn h2d_wait_counts_the_memcpy_even_across_a_reset() {
-        // An async upload issued before a colorer's run-start reset must
-        // still be visible in the post-reset window: the memcpy counters
-        // bill at the wait point, and the completion timestamp lives on
-        // the absolute axis.
-        let mut p = Profiler::default();
-        p.record_kernel(rec("pre", 20.0));
-        let start = p.abs_cycles().max(p.engine_free_abs(CopyEngine::H2d));
-        let completion = start + 100.0;
-        p.occupy_engine(CopyEngine::H2d, completion);
-        p.reset();
-        p.record_kernel(rec("post", 30.0)); // abs now 50
-        p.record_async_wait(CopyEngine::H2d, 64, 100.0, completion);
-        // Completion at abs=120, abs was 50 at the wait: 70 stall.
-        assert_eq!(p.clock_cycles(), 100.0);
-        let r = p.report();
-        assert_eq!(r.memcpys, 1);
-        assert_eq!(r.memcpy_bytes, 64);
-        assert_eq!(r.h2d_overlapped_cycles, 30.0);
-    }
-
-    #[test]
-    fn halo_rounds_and_overlap_counters_reach_the_kv_dump() {
+    fn halo_rounds_and_overlap_counters_reach_the_report() {
         let mut p = Profiler::default();
         p.record_halo_round();
         p.record_halo_round();
         let completion = 40.0;
-        p.occupy_engine(CopyEngine::D2d, completion);
+        p.occupy_engine(completion);
         p.record_d2d_issue(16);
-        p.record_async_wait(CopyEngine::D2d, 16, 40.0, completion);
+        p.record_async_wait(40.0, completion);
         let r = p.report();
         assert_eq!(r.halo_rounds, 2);
-        let kv = r.to_kv();
-        assert!(kv.contains("halo_rounds=2\n"));
-        assert!(kv.contains("d2d_overlapped_cycles=0\n"));
-        assert!(kv.contains("d2d_stall_cycles=40\n"));
-        assert!(kv.contains("h2d_overlapped_cycles=0\n"));
-        for line in kv.lines() {
-            assert_eq!(line.split('=').count(), 2, "bad kv line: {line}");
+        assert_eq!(r.d2d_overlapped_cycles, 0.0);
+        assert_eq!(r.d2d_stall_cycles, 40.0);
+    }
+
+    fn summary(launches: u64, max_launch_cycles: f64, dominant_bound: BoundBy) -> KernelSummary {
+        KernelSummary {
+            launches,
+            total_threads: 10 * launches,
+            total_cycles: 1.5 * launches as f64,
+            total_bytes: 100 * launches,
+            total_atomics: 3 * launches,
+            dominant_bound,
+            max_launch_cycles,
+        }
+    }
+
+    /// A report whose every field is distinct and derived from `k`.
+    fn report(k: u64, by_kernel: &[(&str, KernelSummary)]) -> ProfileReport {
+        let f = k as f64;
+        ProfileReport {
+            launches: k,
+            thread_executions: 2 * k,
+            kernel_bytes: 3 * k,
+            kernel_atomics: 4 * k,
+            syncs: 5 * k,
+            memcpys: 6 * k,
+            memcpy_bytes: 7 * k,
+            d2d_transfers: 8 * k,
+            d2d_bytes: 9 * k,
+            clock_cycles: 10.0 * f,
+            graph_replays: 11 * k,
+            graph_kernels: 12 * k,
+            launch_overhead_cycles: 13.0 * f,
+            launch_overhead_saved_cycles: 14.0 * f,
+            launch_overhead_ms: 15.0 * f,
+            d2d_overlapped_cycles: 16.0 * f,
+            d2d_stall_cycles: 17.0 * f,
+            halo_rounds: 18 * k,
+            pool_hits: 19 * k,
+            pool_misses: 20 * k,
+            by_kernel: by_kernel
+                .iter()
+                .map(|(name, s)| (name.to_string(), s.clone()))
+                .collect(),
         }
     }
 
     #[test]
-    fn empty_report_exports_cleanly() {
-        let p = Profiler::default();
-        let csv = p.report().to_csv();
-        assert_eq!(csv.lines().count(), 2); // header + _total
-        let kv = p.report().to_kv();
-        assert!(kv.contains("launches=0\n"));
-        assert!(kv.contains("model_cycles=0\n"));
+    fn merge_sums_counters_and_takes_max_clock_and_halo_rounds() {
+        let mut a = report(
+            1,
+            &[
+                ("both_later_wins", summary(1, 5.0, BoundBy::Compute)),
+                ("both_tie", summary(2, 7.0, BoundBy::Memory)),
+                ("only_a", summary(3, 9.0, BoundBy::Atomics)),
+            ],
+        );
+        let b = report(
+            2,
+            &[
+                ("both_later_wins", summary(4, 6.0, BoundBy::CriticalPath)),
+                ("both_tie", summary(5, 7.0, BoundBy::Overhead)),
+                ("only_b", summary(6, 2.0, BoundBy::Memory)),
+            ],
+        );
+        a.merge(&b);
+        assert_eq!(a.launches, 3);
+        assert_eq!(a.thread_executions, 6);
+        assert_eq!(a.kernel_bytes, 9);
+        assert_eq!(a.kernel_atomics, 12);
+        assert_eq!(a.syncs, 15);
+        assert_eq!(a.memcpys, 18);
+        assert_eq!(a.memcpy_bytes, 21);
+        assert_eq!(a.d2d_transfers, 24);
+        assert_eq!(a.d2d_bytes, 27);
+        assert_eq!(a.clock_cycles, 20.0, "devices run concurrently: max");
+        assert_eq!(a.graph_replays, 33);
+        assert_eq!(a.graph_kernels, 36);
+        assert_eq!(a.launch_overhead_cycles, 39.0);
+        assert_eq!(a.launch_overhead_saved_cycles, 42.0);
+        assert_eq!(a.launch_overhead_ms, 45.0);
+        assert_eq!(a.d2d_overlapped_cycles, 48.0);
+        assert_eq!(a.d2d_stall_cycles, 51.0);
+        assert_eq!(a.halo_rounds, 36, "every device takes part in a round: max");
+        assert_eq!(a.pool_hits, 57);
+        assert_eq!(a.pool_misses, 60);
+
+        let names: Vec<&str> = a.by_kernel.keys().map(String::as_str).collect();
+        assert_eq!(names, ["both_later_wins", "both_tie", "only_a", "only_b"]);
+        let row = |n: &str| &a.by_kernel[n];
+        // A row on both devices sums and takes the strictly larger most
+        // expensive launch's bound.
+        let w = row("both_later_wins");
+        assert_eq!(
+            (w.launches, w.total_threads, w.total_bytes, w.total_atomics),
+            (5, 50, 500, 15)
+        );
+        assert_eq!(w.total_cycles, 7.5);
+        assert_eq!(
+            (w.max_launch_cycles, w.dominant_bound),
+            (6.0, BoundBy::CriticalPath)
+        );
+        // On a tie the first device's launch stays the dominant one.
+        let t = row("both_tie");
+        assert_eq!(t.launches, 7);
+        assert_eq!(
+            (t.max_launch_cycles, t.dominant_bound),
+            (7.0, BoundBy::Memory)
+        );
+        // Rows on one device only pass through unchanged.
+        let only_a = row("only_a");
+        assert_eq!(
+            (only_a.launches, only_a.total_cycles, only_a.dominant_bound),
+            (3, 4.5, BoundBy::Atomics)
+        );
+        let only_b = row("only_b");
+        assert_eq!(
+            (only_b.launches, only_b.total_cycles, only_b.dominant_bound),
+            (6, 9.0, BoundBy::Memory)
+        );
+        assert_eq!(only_b.max_launch_cycles, 2.0);
     }
 }

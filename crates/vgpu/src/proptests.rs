@@ -1,17 +1,73 @@
 //! Property-based tests for the virtual GPU.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use crate::buffer::DeviceBuffer;
 use crate::config::DeviceConfig;
+use crate::cost::KernelCost;
 use crate::device::Device;
 use crate::primitives::{
     compact, compact_indices, compact_indices_fused, compact_values, compact_values_fused,
-    exclusive_scan, gather, radix_sort, reduce, segmented_reduce,
+    exclusive_scan, reduce, segmented_reduce,
 };
+use crate::profiler::{KernelRecord, KernelSummary, Profiler};
 
 fn dev() -> Device {
     Device::new(DeviceConfig::test_tiny())
+}
+
+/// The fold `Profiler::report` ran over its per-launch log before the
+/// profiler kept running per-kernel totals: the reference the running
+/// totals must match bit for bit.
+fn fold_launch_log(log: &[KernelRecord]) -> BTreeMap<String, KernelSummary> {
+    let mut by_kernel: BTreeMap<String, KernelSummary> = BTreeMap::new();
+    for r in log {
+        let e = by_kernel.entry(r.name.to_string()).or_default();
+        e.launches += 1;
+        e.total_threads += r.threads;
+        e.total_cycles += r.cost.total_cycles;
+        e.total_bytes += r.bytes;
+        e.total_atomics += r.atomics;
+        if r.cost.total_cycles > e.max_launch_cycles {
+            e.max_launch_cycles = r.cost.total_cycles;
+            e.dominant_bound = r.cost.bound_by();
+        }
+    }
+    by_kernel
+}
+
+/// A launch of kernel `NAMES[name]` with the given threads, bytes and
+/// atomics. The cost terms (overhead, compute, memory, atomic, critical
+/// path) are in tenths of a cycle, so `f64` sums depend on their order.
+fn launch_of(
+    name: usize,
+    (threads, bytes, atomics): (u64, u64, u64),
+    terms: (u32, u32, u32, u32, u32),
+) -> KernelRecord {
+    const NAMES: [&str; 4] = [
+        "prop::select",
+        "prop::commit",
+        "prop::compact",
+        "prop::scan",
+    ];
+    let [overhead, compute, memory, atomic, critical] =
+        [terms.0, terms.1, terms.2, terms.3, terms.4].map(|x| f64::from(x) / 10.0);
+    KernelRecord {
+        name: NAMES[name],
+        threads,
+        bytes,
+        atomics,
+        cost: KernelCost {
+            launch_overhead: overhead,
+            compute_term: compute,
+            memory_term: memory,
+            atomic_term: atomic,
+            critical_path: critical,
+            total_cycles: overhead + compute.max(memory).max(atomic).max(critical),
+        },
+    }
 }
 
 proptest! {
@@ -88,32 +144,87 @@ proptest! {
     }
 
     #[test]
-    fn radix_sort_matches_std_sort(data in proptest::collection::vec(any::<u32>(), 0..400)) {
-        let d = dev();
-        let buf = DeviceBuffer::from_slice(&data);
-        let got = radix_sort(&d, "sort", &buf).to_vec();
-        let mut want = data.clone();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn gather_matches_indexing(
-        values in proptest::collection::vec(any::<u32>(), 1..100),
-        seed in any::<u64>(),
+    fn profiler_totals_match_the_per_launch_fold(
+        steps in proptest::collection::vec(
+            (0u8..6, 0usize..4, (0u64..5000, 0u64..100_000, 0u64..500), (0u32..40, 0u32..60, 0u32..60, 0u32..60, 0u32..60)),
+            0..120,
+        ),
+        reset_at in 0usize..120,
     ) {
-        let d = dev();
-        let n = values.len();
-        let indices: Vec<u32> =
-            (0..50).map(|i| crate::rng::uniform_below(seed, i, n as u32)).collect();
-        let out = gather(
-            &d,
-            "g",
-            &DeviceBuffer::from_slice(&values),
-            &DeviceBuffer::from_slice(&indices),
+        // Feeds the same launches to a profiler and to a log of what the
+        // profiler bills, resetting both once partway through. A step with
+        // `op == 0` opens a replay if none is open and closes it
+        // otherwise; every other step is a launch.
+        let mut p = Profiler::new();
+        let mut log: Vec<KernelRecord> = Vec::new();
+        let (mut in_replay, mut dispatches, mut replay_kernels) = (false, 0u64, 0u64);
+        for (i, &(op, name, sizes, terms)) in steps.iter().enumerate() {
+            if i == reset_at {
+                if in_replay {
+                    p.end_replay(75.0);
+                    in_replay = false;
+                }
+                p.reset();
+                log.clear();
+                (dispatches, replay_kernels) = (0, 0);
+            }
+            if op == 0 {
+                if in_replay {
+                    p.end_replay(75.0);
+                    dispatches += 1;
+                } else {
+                    p.begin_replay();
+                }
+                in_replay = !in_replay;
+                continue;
+            }
+            let launch = launch_of(name, sizes, terms);
+            let mut billed = launch.clone();
+            if in_replay {
+                // A replayed kernel bills its work but not its overhead.
+                billed.cost.total_cycles -= billed.cost.launch_overhead;
+                billed.cost.launch_overhead = 0.0;
+                replay_kernels += 1;
+            } else {
+                dispatches += 1;
+            }
+            log.push(billed);
+            p.record_kernel(launch);
+        }
+        if in_replay {
+            p.end_replay(75.0);
+            dispatches += 1;
+        }
+
+        let r = p.report();
+        prop_assert_eq!(r.launches, dispatches);
+        prop_assert_eq!(r.graph_kernels, replay_kernels);
+        prop_assert_eq!(r.thread_executions, log.iter().map(|l| l.threads).sum::<u64>());
+        prop_assert_eq!(r.kernel_bytes, log.iter().map(|l| l.bytes).sum::<u64>());
+        prop_assert_eq!(r.kernel_atomics, log.iter().map(|l| l.atomics).sum::<u64>());
+        let want = fold_launch_log(&log);
+        prop_assert_eq!(
+            r.by_kernel.keys().collect::<Vec<_>>(),
+            want.keys().collect::<Vec<_>>()
         );
-        let want: Vec<u32> = indices.iter().map(|&i| values[i as usize]).collect();
-        prop_assert_eq!(out.to_vec(), want);
+        for (name, w) in &want {
+            let got = &r.by_kernel[name];
+            prop_assert_eq!(got.launches, w.launches, "{} launches", name);
+            prop_assert_eq!(got.total_threads, w.total_threads, "{} threads", name);
+            prop_assert_eq!(got.total_bytes, w.total_bytes, "{} bytes", name);
+            prop_assert_eq!(got.total_atomics, w.total_atomics, "{} atomics", name);
+            prop_assert_eq!(
+                got.total_cycles.to_bits(),
+                w.total_cycles.to_bits(),
+                "{} cycles {} vs {}", name, got.total_cycles, w.total_cycles
+            );
+            prop_assert_eq!(
+                got.max_launch_cycles.to_bits(),
+                w.max_launch_cycles.to_bits(),
+                "{} max launch cycles", name
+            );
+            prop_assert_eq!(got.dominant_bound, w.dominant_bound, "{} bound", name);
+        }
     }
 
     #[test]

@@ -15,6 +15,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perfbench is its own cargo workspace, so the two steps above skip it.
+echo "==> perfbench: cargo fmt --check"
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+
+echo "==> perfbench: cargo clippy -- -D warnings"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
@@ -75,7 +82,7 @@ cargo run --release -q -p gc-bench --bin repro -- \
 cargo run --release -q -p gc-bench --bin repro -- \
   bench-check "$trace_dir/bench_quality.json"
 
-echo "==> scale-sweep smoke: one fast-meter sweep step + committed BENCH_scale.json check"
+echo "==> scale-sweep smoke: one sweep step + committed BENCH_scale.json check"
 # Scale 15 only for CI speed; the committed artifact is the 15..24 run.
 cargo run --release -q -p gc-bench --bin repro -- \
   scale-sweep --rgg 15:15 --out "$trace_dir/bench_scale.json"
