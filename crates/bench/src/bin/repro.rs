@@ -1,17 +1,15 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [table1|table2|fig1|fig1a|fig1b|fig2|fig3|ablation|powerlaw|serve-bench|all]
+//! repro [table1|table2|fig1|fig1a|fig1b|fig2|fig3|ablation|powerlaw|all]
 //!       [--scale F] [--seed N] [--rgg MIN:MAX] [--diameter-samples N]
-//!       [--full] [--csv DIR] [--workers N]
-//!       [--trace FILE] [--jsonl FILE] [--metrics FILE]
+//!       [--full] [--csv DIR]
 //! repro trace <colorer> <dataset> [--scale F] [--seed N]
 //!       [--trace FILE] [--jsonl FILE] [--metrics FILE] [--model-clock]
 //! repro bench [--scale F] [--seed N] [--devices N[,M...]] [--quality] [--out FILE]
 //! repro scale-sweep [--rgg MIN:MAX] [--seed N] [--out FILE]
 //! repro bench-check <FILE>
 //! repro serve [--port N] [--workers N]
-//! repro net-bench [--requests N] [--clients N] [--workers N] [--out FILE]
 //! repro net-smoke
 //! repro --help          # every subcommand with a one-line description
 //! ```
@@ -20,22 +18,16 @@
 //! count, which preserves every qualitative comparison while keeping the
 //! sweep interactive. `--full` uses the paper's extents (slow).
 //!
-//! Observability: `--trace` writes a Chrome trace-event JSON (load at
+//! Observability: `trace` captures one colorer × dataset run.
+//! `--trace` writes a Chrome trace-event JSON (load at
 //! `ui.perfetto.dev`), `--jsonl` a newline-delimited span log, and
-//! `--metrics` a Prometheus text dump. With `serve-bench` they capture
-//! the whole service workload; the `trace` subcommand captures one
-//! colorer × dataset run (files default to `trace.json`/`trace.jsonl`
-//! when the flags are omitted).
+//! `--metrics` a Prometheus text dump (files default to
+//! `trace.json`/`trace.jsonl` when the flags are omitted).
 //!
 //! `serve` exposes the coloring service over the gc-net TCP wire
-//! protocol until a client sends the Shutdown verb. `net-bench` (also
-//! reachable as `serve-bench --net`) drives a loopback server with a
-//! sustained multi-connection workload, measures client-observed
-//! per-verb p50/p95/p99, runs the incremental-vs-full recoloring
-//! comparison on `ecology2`, and writes a `gc-bench-net/v2` document
-//! (default `BENCH_net.json`). `net-smoke` is the CI round-trip:
-//! submit a small graph, color, mutate, verify the merged coloring,
-//! shut the server down cleanly.
+//! protocol until a client sends the Shutdown verb. `net-smoke` is the
+//! CI round-trip: submit a small graph, color, mutate, verify the
+//! merged coloring, shut the server down cleanly.
 //!
 //! `bench` runs every Figure 1 colorer twice per dataset — once with
 //! the paper's launch shape (full-width frontiers, one dispatch per
@@ -62,21 +54,19 @@
 //! `bench-check FILE` re-validates any committed benchmark document,
 //! dispatching on its `schema` field — coloring (launch counts never
 //! regressed, rows verified, conflict-round caps, per-row wall-clock
-//! budget), net (zero protocol errors, incremental-repair speedup), or
-//! scale (contiguous coverage, verified rows, throughput-collapse
-//! bound) — and exits non-zero when it is malformed or regressed (the
-//! CI smoke step).
+//! budget) or scale (contiguous coverage, verified rows,
+//! throughput-collapse bound) — and exits non-zero when it is malformed
+//! or regressed (the CI smoke step).
 
 use std::fs;
 use std::process::ExitCode;
 
 use gc_bench::experiments::{self, ExperimentConfig};
 use gc_bench::format;
-use gc_bench::serve;
 
 /// Every subcommand `repro` accepts, with a one-line description —
 /// the single source the first-argument parser and `--help` both use.
-const SUBCOMMANDS: [(&str, &str); 18] = [
+const SUBCOMMANDS: [(&str, &str); 16] = [
     ("table1", "Table I dataset statistics"),
     ("table2", "Table II optimization effects per implementation"),
     (
@@ -93,10 +83,6 @@ const SUBCOMMANDS: [(&str, &str); 18] = [
     ),
     ("powerlaw", "power-law (Barabasi-Albert) extension study"),
     (
-        "serve-bench",
-        "closed-loop coloring-service workload benchmark",
-    ),
-    (
         "trace",
         "trace one <colorer> <dataset> run to chrome-trace + span-log files",
     ),
@@ -110,15 +96,11 @@ const SUBCOMMANDS: [(&str, &str); 18] = [
     ),
     (
         "bench-check",
-        "validate a BENCH_coloring/net/scale JSON document; non-zero exit on regression",
+        "validate a BENCH_coloring/scale JSON document; non-zero exit on regression",
     ),
     (
         "serve",
         "run a gc-net TCP coloring server until a client sends Shutdown",
-    ),
-    (
-        "net-bench",
-        "sustained-load benchmark of the gc-net front-end over loopback",
     ),
     (
         "net-smoke",
@@ -126,7 +108,7 @@ const SUBCOMMANDS: [(&str, &str); 18] = [
     ),
     (
         "all",
-        "every report above except trace, bench, scale-sweep, and bench-check (the default)",
+        "table1, table2, fig1, fig2, fig3, ablation, and powerlaw (the default)",
     ),
 ];
 
@@ -144,7 +126,6 @@ fn usage() -> String {
          \x20 repro scale-sweep [--rgg MIN:MAX] [--out FILE]   (default range 15:24)\n\
          \x20 repro bench-check <FILE>\n\
          \x20 repro serve [--port N] [--workers N]\n\
-         \x20 repro net-bench [--requests N] [--clients N] [--out FILE]\n\
          \noptions:\n\
          \x20 --scale F             fraction of each dataset's paper vertex count (default 0.2)\n\
          \x20 --seed N              RNG seed for synthesis and coloring (default 42)\n\
@@ -152,20 +133,17 @@ fn usage() -> String {
          \x20 --diameter-samples N  BFS sources for the Table I diameter estimate\n\
          \x20 --full                the paper's full extents (slow)\n\
          \x20 --csv DIR             also write fig1/fig3 CSVs into DIR\n\
-         \x20 --workers N           serve-bench / serve / net-bench worker threads (default 4)\n\
+         \x20 --workers N           serve worker threads (default 4)\n\
          \x20 --devices N[,M...]    virtual device counts for the bench sharded rows; each\n\
          \x20                       count > 1 adds a sharded row family (default 1)\n\
          \x20 --quality             bench: add the quality-tier pareto sweep (hybrid JP,\n\
          \x20                       short-cutting IS variants, +reduce post-pass arms)\n\
-         \x20 --net                 run serve-bench in net mode (alias of net-bench)\n\
          \x20 --port N              serve listen port (default 7711, 0 = ephemeral)\n\
-         \x20 --requests N          net-bench total client requests (default 100000)\n\
-         \x20 --clients N           net-bench concurrent client connections (default 8)\n\
-         \x20 --trace FILE          write a Chrome trace-event JSON\n\
-         \x20 --jsonl FILE          write a newline-delimited span log\n\
-         \x20 --metrics FILE        write a Prometheus text dump\n\
-         \x20 --out FILE            bench/net-bench/scale-sweep output file (default\n\
-         \x20                       BENCH_coloring.json, BENCH_net.json, or BENCH_scale.json)\n\
+         \x20 --trace FILE          trace: write a Chrome trace-event JSON\n\
+         \x20 --jsonl FILE          trace: write a newline-delimited span log\n\
+         \x20 --metrics FILE        trace: write a Prometheus text dump\n\
+         \x20 --out FILE            bench/scale-sweep output file (default\n\
+         \x20                       BENCH_coloring.json or BENCH_scale.json)\n\
          \x20 --model-clock         trace timestamps from the device model clock\n\
          \x20 --help                print this help\n",
     );
@@ -188,17 +166,11 @@ struct Args {
     trace_out: Option<String>,
     jsonl_out: Option<String>,
     metrics_out: Option<String>,
-    /// Output file of the `bench`/`net-bench` subcommands.
+    /// Output file of the `bench`/`scale-sweep` subcommands.
     out: Option<String>,
     model_clock: bool,
-    /// `serve-bench --net` reroutes to the net benchmark.
-    net: bool,
     /// Listen port of the `serve` subcommand.
     port: u16,
-    /// Total requests of the `net-bench` sustained-load phase.
-    requests: u64,
-    /// Concurrent connections of the `net-bench` sustained-load phase.
-    clients: usize,
     /// Positional operands of the `trace`/`bench-check` subcommands.
     operands: Vec<String>,
 }
@@ -217,10 +189,7 @@ fn parse_args() -> Result<Args, String> {
     let mut metrics_out = None;
     let mut out = None;
     let mut model_clock = false;
-    let mut net = false;
     let mut port = 7711u16;
-    let mut requests = 100_000u64;
-    let mut clients = 8usize;
     let mut operands = Vec::new();
     let mut first = true;
     while let Some(a) = args.next() {
@@ -290,27 +259,12 @@ fn parse_args() -> Result<Args, String> {
             "--metrics" => metrics_out = Some(args.next().ok_or("--metrics needs a file")?),
             "--out" => out = Some(args.next().ok_or("--out needs a file")?),
             "--model-clock" => model_clock = true,
-            "--net" => net = true,
             "--port" => {
                 port = args
                     .next()
                     .ok_or("--port needs a value")?
                     .parse()
                     .map_err(|e| format!("bad --port: {e}"))?;
-            }
-            "--requests" => {
-                requests = args
-                    .next()
-                    .ok_or("--requests needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --requests: {e}"))?;
-            }
-            "--clients" => {
-                clients = args
-                    .next()
-                    .ok_or("--clients needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --clients: {e}"))?;
             }
             other
                 if (command == "trace" || command == "bench-check") && !other.starts_with('-') =>
@@ -334,10 +288,7 @@ fn parse_args() -> Result<Args, String> {
         metrics_out,
         out,
         model_clock,
-        net,
         port,
-        requests,
-        clients,
         operands,
     })
 }
@@ -349,60 +300,18 @@ fn write_artifact(path: &str, what: &str, content: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The `net-bench` / `serve-bench --net` sustained-load run: drive a
-/// live loopback server, self-validate the emitted document, write it.
-fn run_net_bench(args: &Args) -> ExitCode {
-    let tracer =
-        (args.trace_out.is_some() || args.jsonl_out.is_some()).then(gc_telemetry::Tracer::new);
-    let metrics = gc_telemetry::MetricsRegistry::new();
-    let net_cfg = gc_bench::net::NetBenchConfig {
-        requests: args.requests.max(1),
-        clients: args.clients.max(1),
-        workers: args.workers.max(1),
-        // The steady-state mutate-stress phase scales with the request
-        // budget so CI's shrunk runs stay quick.
-        stress_requests: (args.requests / 5).max(40),
-        ..gc_bench::net::NetBenchConfig::default()
-    };
-    let report =
-        gc_bench::net::net_bench_with(&args.cfg, &net_cfg, tracer.clone(), Some(metrics.clone()));
-    println!("{}", format::render_net_bench(&report));
-    let json = gc_bench::net::to_json(&report);
-    if let Err(e) = gc_bench::net::validate_report_json(&json) {
-        eprintln!("error: emitted JSON failed self-validation: {e}");
-        return ExitCode::FAILURE;
+/// Writes each `(file name, content)` CSV into `dir`, creating it
+/// first; writes nothing, and creates no directory, when `csvs` is
+/// empty.
+fn write_csvs(dir: &str, csvs: &[(&str, String)]) -> Result<(), String> {
+    if csvs.is_empty() {
+        return Ok(());
     }
-    let mut writes = Vec::new();
-    let path = args.out.as_deref().unwrap_or("BENCH_net.json");
-    writes.push(write_artifact(path, "net bench report", &json));
-    if let (Some(path), Some(t)) = (&args.trace_out, &tracer) {
-        writes.push(write_artifact(
-            path,
-            "chrome trace",
-            &gc_telemetry::to_chrome_trace(t, gc_telemetry::ClockKind::Wall),
-        ));
+    fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
+    for (name, csv) in csvs {
+        write_artifact(&format!("{dir}/{name}"), "CSV", csv)?;
     }
-    if let (Some(path), Some(t)) = (&args.jsonl_out, &tracer) {
-        writes.push(write_artifact(
-            path,
-            "span log",
-            &gc_telemetry::to_jsonl(&t.records()),
-        ));
-    }
-    if let Some(path) = &args.metrics_out {
-        writes.push(write_artifact(
-            path,
-            "metrics",
-            &gc_telemetry::to_prometheus(&metrics),
-        ));
-    }
-    for w in writes {
-        if let Err(e) = w {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The CI loopback smoke: a full client lifecycle against a real TCP
@@ -631,9 +540,6 @@ fn main() -> ExitCode {
             .ok()
             .and_then(|d| d.get("schema").and_then(|s| s.as_str()));
         let checked = match schema.as_deref() {
-            Some(gc_bench::net::SCHEMA) => {
-                gc_bench::net::validate_report_json(&text).map(|()| gc_bench::net::SCHEMA)
-            }
             Some(gc_bench::scale_sweep::SCHEMA) => {
                 gc_bench::scale_sweep::validate_report_json(&text)
                     .map(|()| gc_bench::scale_sweep::SCHEMA)
@@ -690,54 +596,6 @@ fn main() -> ExitCode {
         };
     }
 
-    if args.command == "net-bench" || (args.command == "serve-bench" && args.net) {
-        return run_net_bench(&args);
-    }
-
-    if want("serve-bench") {
-        let tracer =
-            (args.trace_out.is_some() || args.jsonl_out.is_some()).then(gc_telemetry::Tracer::new);
-        let metrics = args
-            .metrics_out
-            .as_ref()
-            .map(|_| gc_telemetry::MetricsRegistry::new());
-        let report =
-            serve::serve_bench_with(&cfg, args.workers.max(1), tracer.clone(), metrics.clone());
-        println!("{}", format::render_serve_bench(&report));
-        let clock = if args.model_clock {
-            gc_telemetry::ClockKind::Model
-        } else {
-            gc_telemetry::ClockKind::Wall
-        };
-        let mut writes = Vec::new();
-        if let (Some(path), Some(t)) = (&args.trace_out, &tracer) {
-            writes.push(write_artifact(
-                path,
-                "chrome trace",
-                &gc_telemetry::to_chrome_trace(t, clock),
-            ));
-        }
-        if let (Some(path), Some(t)) = (&args.jsonl_out, &tracer) {
-            writes.push(write_artifact(
-                path,
-                "span log",
-                &gc_telemetry::to_jsonl(&t.records()),
-            ));
-        }
-        if let (Some(path), Some(m)) = (&args.metrics_out, &metrics) {
-            writes.push(write_artifact(
-                path,
-                "metrics",
-                &gc_telemetry::to_prometheus(m),
-            ));
-        }
-        for w in writes {
-            if let Err(e) = w {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let fig3_data = if want("fig3") {
         Some(experiments::fig3(&cfg))
     } else {
@@ -747,18 +605,18 @@ fn main() -> ExitCode {
         println!("{}", format::render_fig3(rows));
     }
 
-    if let Some(dir) = args.csv_dir {
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("error creating {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(dir) = &args.csv_dir {
+        let mut csvs = Vec::new();
         if let Some(data) = &fig1_data {
-            let _ = fs::write(format!("{dir}/fig1.csv"), format::fig1_csv(data));
+            csvs.push(("fig1.csv", format::fig1_csv(data)));
         }
         if let Some(rows) = &fig3_data {
-            let _ = fs::write(format!("{dir}/fig3.csv"), format::fig3_csv(rows));
+            csvs.push(("fig3.csv", format::fig3_csv(rows)));
         }
-        println!("CSV written to {dir}/");
+        if let Err(e) = write_csvs(dir, &csvs) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }
@@ -785,6 +643,21 @@ mod tests {
     }
 
     #[test]
+    fn csv_write_failures_are_errors_and_no_csv_writes_nothing() {
+        let root = std::env::temp_dir().join(format!("repro-csv-{}", std::process::id()));
+        // A directory squatting on a CSV's file name makes its write fail.
+        fs::create_dir_all(root.join("fig1.csv")).unwrap();
+        let dir = root.to_str().unwrap();
+        assert!(write_csvs(dir, &[("fig1.csv", "a,b\n".into())]).is_err());
+        write_csvs(dir, &[("fig3.csv", "a,b\n".into())]).unwrap();
+        assert_eq!(fs::read_to_string(root.join("fig3.csv")).unwrap(), "a,b\n");
+        let untouched = root.join("none");
+        write_csvs(untouched.to_str().unwrap(), &[]).unwrap();
+        assert!(!untouched.exists());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn usage_documents_the_option_set() {
         let text = usage();
         for opt in [
@@ -802,10 +675,7 @@ mod tests {
             "--metrics",
             "--out",
             "--model-clock",
-            "--net",
             "--port",
-            "--requests",
-            "--clients",
             "--help",
         ] {
             assert!(text.contains(opt), "usage text is missing option {opt}");

@@ -316,58 +316,6 @@ pub fn render_devices(rows: &[crate::experiments::DeviceRow]) -> String {
     out
 }
 
-/// Renders the `serve-bench` throughput/quality table.
-pub fn render_serve_bench(report: &crate::serve::ServeBenchReport) -> String {
-    let mut out = String::new();
-    out.push_str("SERVE-BENCH: gc-service throughput/quality (two-wave workload)\n");
-    out.push_str(&format!(
-        "{:<16}{:>10}{:>12}{:>16}{:>13}  {}\n",
-        "Objective", "Requests", "CacheHits", "Mean model-ms", "Mean colors", "Colorers"
-    ));
-    out.push_str(&hr(92));
-    out.push('\n');
-    for r in &report.rows {
-        let colorers = r
-            .colorers
-            .iter()
-            .map(|c| short(c))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "{:<16}{:>10}{:>12}{:>16.3}{:>13.1}  {}\n",
-            r.objective, r.requests, r.cache_hits, r.mean_model_ms, r.mean_colors, colorers
-        ));
-    }
-    let s = &report.snapshot;
-    out.push_str(&format!(
-        "\nservice: served={} cache_hits={} ({:.0}%) revalidated={} shed_deadline={} \
-         shed_queue_full={} failed={} improper={} wall={:.0} ms\n",
-        s.served,
-        s.cache_hits,
-        s.cache_hit_rate() * 100.0,
-        s.revalidated,
-        s.shed,
-        s.rejected,
-        s.failed,
-        report.improper,
-        report.wall_ms,
-    ));
-    for (name, h) in &s.latency_by_colorer {
-        out.push_str(&format!(
-            "latency {:<24} n={:<3} mean={:.3} p50={:.3} p95={:.3} p99={:.3} max={:.3} ms {}\n",
-            short(name),
-            h.samples,
-            h.mean_ms(),
-            h.p50(),
-            h.p95(),
-            h.p99(),
-            h.max_ms,
-            h.brief()
-        ));
-    }
-    out
-}
-
 /// Renders the `repro bench` before/after compaction matrix, plus the
 /// multi-device sharding matrix when the report carries sharded rows.
 pub fn render_coloring_bench(report: &crate::coloring_bench::BenchReport) -> String {
@@ -545,99 +493,6 @@ pub fn render_trace_summary(cap: &crate::trace::TraceCapture) -> String {
             name, count, wall_us, model_ms
         ));
     }
-    out
-}
-
-/// Renders the `repro net-bench` per-verb latency table plus the
-/// incremental-recoloring comparison line.
-pub fn render_net_bench(report: &crate::net::NetBenchReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "NET-BENCH: gc-net sustained loopback load ({} clients, {} workers)\n",
-        report.clients, report.workers
-    ));
-    out.push_str(&format!(
-        "{:<16}{:>10}{:>7}{:>8}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
-        "Verb", "Requests", "Shed", "Errors", "Mean ms", "p50 ms", "p95 ms", "p99 ms", "Max ms"
-    ));
-    out.push_str(&hr(91));
-    out.push('\n');
-    for r in &report.rows {
-        if r.requests == 0 {
-            continue;
-        }
-        out.push_str(&format!(
-            "{:<16}{:>10}{:>7}{:>8}{:>10.4}{:>10.4}{:>10.4}{:>10.4}{:>10.4}\n",
-            r.verb,
-            r.requests,
-            r.shed,
-            r.errors,
-            r.latency.mean_ms(),
-            r.latency.p50(),
-            r.latency.p95(),
-            r.latency.p99(),
-            r.latency.max_ms,
-        ));
-    }
-    out.push_str(&format!(
-        "\ntotal: {} requests in {:.0} ms ({:.0} req/s), {} protocol errors, \
-         frames ok={} bad={}\n",
-        report.total_requests,
-        report.wall_ms,
-        report.requests_per_sec(),
-        report.protocol_errors,
-        report.frames_ok,
-        report.frames_bad,
-    ));
-    let s = &report.snapshot;
-    out.push_str(&format!(
-        "service: served={} cache_hits={} ({:.0}%) revalidated={} shed_deadline={} \
-         shed_queue_full={} failed={}\n",
-        s.served,
-        s.cache_hits,
-        s.cache_hit_rate() * 100.0,
-        s.revalidated,
-        s.shed,
-        s.rejected,
-        s.failed,
-    ));
-    let ms = &report.mutate_stress;
-    out.push_str(&format!(
-        "mutate-stress: {} mutates over {} clients in {:.0} ms ({:.0} mutates/s), \
-         p50={:.3} p95={:.3} p99={:.3} ms, incremental_repairs={}, max_rounds={}, \
-         shed={}, errors={}, verified={}\n",
-        ms.requests,
-        ms.clients,
-        ms.wall_ms,
-        ms.mutates_per_sec(),
-        ms.latency.p50(),
-        ms.latency.p95(),
-        ms.latency.p99(),
-        ms.incremental_repairs,
-        ms.max_repair_rounds,
-        ms.shed,
-        ms.errors,
-        ms.verified,
-    ));
-    let inc = &report.incremental;
-    out.push_str(&format!(
-        "incremental: {} ({} vertices, {} edges) delta={} edges via {} — \
-         full {} vs repair {} thread-executions ({:.1}x cheaper), frontier={}, \
-         rounds={}, verified={}, revalidated={}, next color cache_hit={}\n",
-        inc.dataset,
-        inc.vertices,
-        inc.edges,
-        inc.delta_edges,
-        short(&inc.colorer),
-        inc.full_thread_executions,
-        inc.repair_thread_executions,
-        inc.speedup().min(1e9),
-        inc.frontier,
-        inc.repair_rounds,
-        inc.verified,
-        inc.revalidated,
-        inc.cache_hit_after_mutate,
-    ));
     out
 }
 

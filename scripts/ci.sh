@@ -82,31 +82,22 @@ cargo run --release -q -p gc-bench --bin repro -- \
 cargo run --release -q -p gc-bench --bin repro -- \
   bench-check "$trace_dir/bench_quality.json"
 
-echo "==> scale-sweep smoke: one sweep step + committed BENCH_scale.json check"
+echo "==> scale-sweep smoke: one sweep step + bench-check validation"
 # Scale 15 only for CI speed; the committed artifact is the 15..24 run.
 cargo run --release -q -p gc-bench --bin repro -- \
   scale-sweep --rgg 15:15 --out "$trace_dir/bench_scale.json"
 cargo run --release -q -p gc-bench --bin repro -- \
   bench-check "$trace_dir/bench_scale.json"
-cargo run --release -q -p gc-bench --bin repro -- \
-  bench-check BENCH_scale.json
-cargo run --release -q -p gc-bench --bin repro -- \
-  bench-check BENCH_coloring.json
+
+echo "==> bench-check every committed BENCH_*.json"
+# bench-check dispatches on each document's schema, so an artifact that
+# no validator accepts fails here instead of going stale.
+for doc in BENCH_*.json; do
+  cargo run --release -q -p gc-bench --bin repro -- bench-check "$doc"
+done
 
 echo "==> net smoke: loopback submit/color/mutate/verify/shutdown round-trip"
 cargo run --release -q -p gc-bench --bin repro -- net-smoke
-
-echo "==> net bench smoke: sustained loopback load + bench-check validation"
-# Small request count for CI; the committed BENCH_net.json is the 100K
-# acceptance run. bench-check enforces the same rules on both: zero
-# protocol errors, verified rows with non-zero p99, and the >=5x
-# incremental-repair work reduction.
-cargo run --release -q -p gc-bench --bin repro -- \
-  net-bench --requests 4000 --clients 4 --scale 0.002 --out "$trace_dir/bench_net.json"
-cargo run --release -q -p gc-bench --bin repro -- \
-  bench-check "$trace_dir/bench_net.json"
-cargo run --release -q -p gc-bench --bin repro -- \
-  bench-check BENCH_net.json
 
 echo "==> perfbench: unit tests + smoke run of every workload"
 # perfbench is its own cargo workspace built against the crates by path:

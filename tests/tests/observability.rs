@@ -1,24 +1,75 @@
-//! End-to-end observability tests: a traced serve-bench workload must
+//! End-to-end observability tests: a traced service workload must
 //! produce a coherent span forest (request → color → iteration →
 //! kernel attribution across concurrent workers), a Chrome trace that
 //! parses, and a Prometheus dump carrying the service counters and
 //! per-colorer latency quantiles.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
 
 use gc_bench::experiments::ExperimentConfig;
-use gc_bench::serve::serve_bench_with;
+use gc_core::verify::is_proper;
+use gc_service::{ColorRequest, ColoringService, Objective, ServiceConfig, ServiceError};
 use gc_telemetry::{json, ClockKind, EventKind, MetricsRegistry, SpanRecord, Tracer};
 
-fn traced_serve_bench(workers: usize) -> (Vec<SpanRecord>, Tracer, MetricsRegistry) {
+/// Runs a traced workload on `workers` service workers: one mesh, one
+/// shell and one circuit, each under three objectives, in two waves
+/// (the second served from the cache), then two zero-deadline probes
+/// that must be shed.
+fn traced_workload(workers: usize) -> (Vec<SpanRecord>, Tracer, MetricsRegistry) {
     let cfg = ExperimentConfig::smoke();
     let tracer = Tracer::new();
     let metrics = MetricsRegistry::new();
-    let report = serve_bench_with(&cfg, workers, Some(tracer.clone()), Some(metrics.clone()));
-    assert_eq!(report.improper, 0);
-    assert!(report.snapshot.served > 0);
-    let records = tracer.records();
-    (records, tracer, metrics)
+    let graphs: Vec<Arc<gc_graph::Csr>> = ["ecology2", "af_shell3", "G3_circuit"]
+        .iter()
+        .map(|n| {
+            let spec = gc_datasets::dataset_by_name(n).expect("workload dataset registered");
+            Arc::new(spec.generate(cfg.scale, cfg.seed))
+        })
+        .collect();
+    // The driver thread traces too, so the submit-side `admitted`
+    // instants land on their own lane.
+    let _driver_tracing = tracer.make_current();
+    let svc = ColoringService::start(ServiceConfig {
+        workers,
+        tracer: Some(tracer.clone()),
+        metrics: Some(metrics.clone()),
+        ..ServiceConfig::default()
+    });
+    let handle = svc.handle();
+    // Receiving every wave-0 reply before wave 1 is submitted keeps a
+    // slow wave-0 job from still being in flight when its wave-1 twin
+    // is dequeued, which would miss the cache.
+    for _wave in 0..2 {
+        let mut tickets = Vec::new();
+        for g in &graphs {
+            for obj in [
+                Objective::Fastest,
+                Objective::FewestColors,
+                Objective::Balanced,
+            ] {
+                let req = ColorRequest::new(Arc::clone(g), obj).with_seed(cfg.seed);
+                tickets.push((Arc::clone(g), handle.submit(req)));
+            }
+        }
+        for (g, ticket) in tickets {
+            let resp = ticket.recv().expect("workload request should succeed");
+            assert!(is_proper(&g, resp.coloring.as_slice()).is_ok());
+        }
+    }
+    for g in graphs.iter().take(2) {
+        let req = ColorRequest::new(Arc::clone(g), Objective::Fastest)
+            .with_seed(cfg.seed)
+            .with_deadline(Duration::ZERO);
+        match handle.submit(req).recv() {
+            Err(ServiceError::DeadlineExceeded { .. }) => {}
+            other => panic!("zero-deadline probe should be shed, got {other:?}"),
+        }
+    }
+    assert!(svc.stats().served > 0);
+    svc.shutdown();
+    (tracer.records(), tracer, metrics)
 }
 
 /// Walks `rec`'s parent chain and returns the span names from the root
@@ -37,7 +88,7 @@ fn ancestry(by_id: &HashMap<u64, &SpanRecord>, rec: &SpanRecord) -> Vec<String> 
 
 #[test]
 fn traced_workload_nests_request_iteration_and_kernel_spans() {
-    let (records, _tracer, _metrics) = traced_serve_bench(2);
+    let (records, _tracer, _metrics) = traced_workload(2);
     let by_id: HashMap<u64, &SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
 
     // Every parent reference resolves inside the same capture.
@@ -111,7 +162,7 @@ fn traced_workload_nests_request_iteration_and_kernel_spans() {
 
 #[test]
 fn concurrent_workers_trace_on_distinct_named_lanes() {
-    let (records, tracer, _metrics) = traced_serve_bench(3);
+    let (records, tracer, _metrics) = traced_workload(3);
     let mut worker_lanes: Vec<u64> = records
         .iter()
         .filter(|r| r.name == "request")
@@ -147,7 +198,7 @@ fn concurrent_workers_trace_on_distinct_named_lanes() {
 
 #[test]
 fn chrome_trace_export_parses_and_covers_all_lanes() {
-    let (records, tracer, _metrics) = traced_serve_bench(2);
+    let (records, tracer, _metrics) = traced_workload(2);
     for clock in [ClockKind::Wall, ClockKind::Model] {
         let doc = json::parse(&gc_telemetry::to_chrome_trace(&tracer, clock))
             .unwrap_or_else(|e| panic!("chrome trace ({clock:?}) does not parse: {e}"));
@@ -178,7 +229,7 @@ fn chrome_trace_export_parses_and_covers_all_lanes() {
 
 #[test]
 fn prometheus_export_carries_service_counters_and_quantiles() {
-    let (_records, _tracer, metrics) = traced_serve_bench(2);
+    let (_records, _tracer, metrics) = traced_workload(2);
     let prom = gc_telemetry::to_prometheus(&metrics);
 
     for metric in [
