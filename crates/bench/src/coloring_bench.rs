@@ -66,15 +66,10 @@
 
 use std::time::Instant;
 
-use gc_core::gblas_jpl::JplConfig;
-use gc_core::gunrock_hash::HashConfig;
-use gc_core::gunrock_is::IsConfig;
 use gc_core::reduce::{reduce_colors, ReduceBudget};
-use gc_core::runner::{all_colorers, colorer_by_name, Colorer, ColorerKind};
+use gc_core::runner::{all_colorers, colorer_by_name, Colorer};
 use gc_core::verify::is_proper;
-use gc_core::{
-    gblas_is, gblas_jpl, gblas_mis, gunrock_ar, gunrock_hash, gunrock_is, naumov, ColoringResult,
-};
+use gc_core::ColoringResult;
 use gc_graph::Csr;
 use gc_shard::{run_sharded, ShardedConfig, MAX_CONFLICT_ROUNDS};
 use gc_vgpu::Device;
@@ -271,38 +266,6 @@ pub struct BenchReport {
     pub pareto: Vec<ParetoRow>,
 }
 
-/// Runs `colorer`'s pre-optimization twin: full-width frontiers and one
-/// dispatch per operator, the paper's transcription before this repo's
-/// compaction and launch-graph passes. Only the host greedy has no
-/// GPU-side twin, so its baseline is the colorer itself.
-fn run_baseline(colorer: &Colorer, g: &Csr, seed: u64) -> ColoringResult {
-    match colorer.kind() {
-        ColorerKind::GunrockAr => gunrock_ar::run_on_full(&Device::k40c(), g, seed),
-        ColorerKind::GblasIs => gblas_is::run_on_full(&Device::k40c(), g, seed),
-        ColorerKind::GblasMis => gblas_mis::run_on_full(&Device::k40c(), g, seed),
-        ColorerKind::GblasJpl => gblas_jpl::gblas_jpl_with(g, seed, JplConfig::full_width()),
-        ColorerKind::GunrockIs(cfg) => gunrock_is::gunrock_is(
-            g,
-            seed,
-            IsConfig {
-                compact_frontier: false,
-                ..cfg
-            },
-        ),
-        ColorerKind::GunrockHash(cfg) => gunrock_hash::gunrock_hash(
-            g,
-            seed,
-            HashConfig {
-                compact_frontier: false,
-                ..cfg
-            },
-        ),
-        ColorerKind::NaumovJpl => naumov::jpl_on_full(&Device::k40c(), g, seed),
-        ColorerKind::NaumovCc => naumov::cc_on_full(&Device::k40c(), g, seed),
-        _ => colorer.run(g, seed),
-    }
-}
-
 fn timed(f: impl FnOnce() -> ColoringResult) -> (ColoringResult, f64) {
     let t0 = Instant::now();
     let r = f();
@@ -359,7 +322,7 @@ pub fn coloring_bench_on(
         // instead of recoloring from scratch.
         let mut cc_result: Option<ColoringResult> = None;
         for colorer in all_colorers() {
-            let (before_r, before_wall) = timed(|| run_baseline(&colorer, &g, cfg.seed));
+            let (before_r, before_wall) = timed(|| colorer.run_full_width(&g, cfg.seed));
             let (after_r, after_wall) = timed(|| colorer.run(&g, cfg.seed));
             rows.push(BenchRow {
                 colorer: colorer.name().to_string(),

@@ -127,7 +127,7 @@ pub fn table2_on(g: &Csr, seed: u64) -> Vec<Table2Row> {
     let mut rows = Vec::new();
     let mut prev_ms: Option<f64> = None;
     for (i, variant) in table2_variants().into_iter().enumerate() {
-        let r = variant.run(g, seed);
+        let r = variant.run_full_width(g, seed);
         let step = prev_ms.map(|p| p / r.model_ms).unwrap_or(1.0);
         prev_ms = Some(r.model_ms);
         rows.push(Table2Row {

@@ -8,7 +8,7 @@
 //! frontier is empty, and otherwise colors the frontier and zeroes its
 //! weights with two masked `assign`s.
 //!
-//! The default path keeps a compacted [`ActiveList`] of still-uncolored
+//! The default path keeps a compacted [`Frontier`] of still-uncolored
 //! vertices and runs the list-restricted ops over it, so each round's
 //! work shrinks with the candidate set; the new-member contraction's
 //! output length doubles as the empty-frontier test, replacing the
@@ -17,9 +17,9 @@
 //! round).
 
 use gc_graph::Csr;
-use gc_graphblas::{ops, ActiveList, Descriptor, Matrix, MaxTimes, Vector};
+use gc_graphblas::{ops, Descriptor, Matrix, MaxTimes, Vector};
 use gc_vgpu::rng::vertex_weight_i64;
-use gc_vgpu::Device;
+use gc_vgpu::{Device, Frontier};
 
 use crate::color::ColoringResult;
 
@@ -28,12 +28,17 @@ const MAX_COLORS: u32 = 100_000;
 
 /// Runs Algorithm 2 on a fresh K40c-model device.
 pub fn gblas_is(g: &Csr, seed: u64) -> ColoringResult {
-    let dev = Device::k40c();
-    run_on(&dev, g, seed)
+    run_on(&Device::k40c(), g, seed, false)
+}
+
+/// Runs the short-cutting variant of Algorithm 2 on a fresh K40c-model
+/// device.
+pub fn gblas_is_sc(g: &Csr, seed: u64) -> ColoringResult {
+    run_on(&Device::k40c(), g, seed, true)
 }
 
 /// Runs Algorithm 2 on the provided device with the compacted
-/// active-vertex list (the default path).
+/// active-vertex frontier (the default path).
 ///
 /// The whole per-round pipeline is two fused kernels, captured once as
 /// a [`gc_vgpu::LaunchGraph`] and replayed each round so the fixed
@@ -43,15 +48,25 @@ pub fn gblas_is(g: &Csr, seed: u64) -> ColoringResult {
 ///    weight and the "beats its neighborhood" test in one kernel (the
 ///    old `vxm_list` + `ewise_add_list` pair, minus the intermediate
 ///    `max` vector);
-/// 2. `assign_where_compact` colors the winners, zeroes their weights,
-///    and contracts them out of the active list in one fused
+/// 2. `apply_where_compact` colors the winners, zeroes their weights,
+///    and contracts them out of the active frontier in one fused
 ///    compaction (the old two assigns + contraction).
 ///
 /// The max at a listed row only combines neighbors with live weights —
 /// exactly what the full-width masked product computes there — so
 /// colorings are bit-identical to [`run_on_full`]. The surviving-count
 /// delta doubles as the old `reduce(+)` frontier-size/empty test.
-pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
+///
+/// With `short_cutting`, each winner first-fits into the lowest color
+/// absent from its neighborhood instead of taking the round index.
+/// Winner sets are identical — the select op is untouched and the weight
+/// kill is the same — so iteration counts match. Each round's winner set
+/// is an independent set (tie-free weights), so no winner reads another
+/// winner's fresh color: the mex inputs are stable within the round,
+/// re-evaluation under the compaction's double-evaluation contract
+/// recomputes the same value, and the color count can only end at or
+/// below the round-indexed variant's.
+pub fn run_on(dev: &Device, g: &Csr, seed: u64, short_cutting: bool) -> ColoringResult {
     use std::cell::{Cell, RefCell};
 
     let _pool = gc_vgpu::pool::lease();
@@ -76,13 +91,18 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         desc,
     );
 
-    let active = RefCell::new(ActiveList::all(n));
+    let (graph, retire) = if short_cutting {
+        ("grb::is_sc_round", "grb::is_sc_active")
+    } else {
+        ("grb::is_round", "grb::is_active")
+    };
+    let active = RefCell::new(Frontier::all(n));
     let color = Cell::new(0i64);
     let retired = Cell::new(0usize);
     // Capture once; the frontier length and the round's color are
     // resolved at replay time (the contraction output swaps into
     // `active` between replays), so every round replays the same graph.
-    let pipeline = dev.capture("grb::is_round", || {
+    let pipeline = dev.capture(graph, || {
         let cur = active.borrow();
         // Max live-neighbor weight and the GT test, fused. Under the
         // dense encoding the zero weight of a colored vertex is the
@@ -96,13 +116,30 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
             &a,
             &cur,
         );
-        // Color the new Luby members, kill their weights, and contract
-        // them out of the candidate list, all in one compaction.
-        let next = ops::assign_where_compact(
+        // Color the new Luby members — the round index, or the mex over
+        // the neighborhood's committed colors — kill their weights, and
+        // contract them out of the candidate frontier, all in one
+        // compaction.
+        let round_color = color.get();
+        let next = ops::apply_where_compact(
             dev,
-            "grb::is_active",
+            retire,
             &frontier,
-            &[(&c, color.get()), (&weight, 0)],
+            &c,
+            |t, i| {
+                if !short_cutting {
+                    return round_color;
+                }
+                let mut forbidden: Vec<u32> = Vec::new();
+                for j in a.cols_seq(t, i) {
+                    let cj = c.read(t, j as usize);
+                    if cj != 0 {
+                        forbidden.push(cj as u32);
+                    }
+                }
+                crate::reduce::mex(&mut forbidden) as i64
+            },
+            &[(&weight, 0)],
             &cur,
         );
         retired.set(cur.len() - next.len());
@@ -127,125 +164,10 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         dev.replay(&pipeline);
         if iter_span.is_recording() {
             iter_span.attr("frontier_size", retired.get() as i64);
-            iter_span.attr("colors_so_far", round_color);
             iter_span.set_model_range(iter_model0, dev.elapsed_ms());
         }
         // The host convergence branch consumes the surviving count — the
         // scalar readback that replaced the full-width `reduce(+)`.
-        active.borrow().read_len(dev);
-        if retired.get() == 0 {
-            finished = true;
-            break;
-        }
-    }
-
-    assert!(finished, "IS coloring exceeded the {MAX_COLORS}-color cap");
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
-}
-
-/// Runs the short-cutting variant of Algorithm 2 on a fresh K40c-model
-/// device.
-pub fn gblas_is_sc(g: &Csr, seed: u64) -> ColoringResult {
-    let dev = Device::k40c();
-    run_on_sc(&dev, g, seed)
-}
-
-/// Short-cutting Algorithm 2: the same Luby winner test per round, but
-/// each winner first-fits into the lowest color absent from its
-/// neighborhood instead of taking the round index. Winner sets are
-/// bit-identical to [`run_on`]'s — the select op is untouched and the
-/// weight kill is the same — so iteration counts match, while the fused
-/// [`ops::apply_where_compact`] epilogue computes each winner's mex
-/// in-kernel.
-///
-/// Each round's winner set is an independent set (tie-free weights), so
-/// no winner reads another winner's fresh color: the mex inputs are
-/// stable within the round, re-evaluation under the compaction's
-/// double-evaluation contract recomputes the same value, and the color
-/// count can only end at or below the round-indexed variant's (at most
-/// one new color can appear per round either way, and mex reuses old
-/// colors whenever the neighborhood permits).
-pub fn run_on_sc(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    use std::cell::{Cell, RefCell};
-
-    let _pool = gc_vgpu::pool::lease();
-    let n = g.num_vertices();
-    let a = Matrix::from_graph(dev, g);
-    let c = Vector::<i64>::new(n);
-    let weight = Vector::<i64>::new(n);
-    let frontier = Vector::<i64>::new(n);
-    dev.reset();
-    let launches_before = dev.profile().launches;
-    let desc = Descriptor::null();
-
-    ops::assign_scalar(dev, &c, None, 0, desc);
-    ops::apply_indexed(
-        dev,
-        &weight,
-        None,
-        |i, _| vertex_weight_i64(seed, i as u32),
-        &weight,
-        desc,
-    );
-
-    let active = RefCell::new(ActiveList::all(n));
-    let retired = Cell::new(0usize);
-    let pipeline = dev.capture("grb::is_sc_round", || {
-        let cur = active.borrow();
-        ops::vxm_apply_list(
-            dev,
-            &frontier,
-            &MaxTimes,
-            |w, m| (w != 0 && w > m) as i64,
-            &weight,
-            &a,
-            &cur,
-        );
-        // First-fit the new Luby members instead of stamping the round
-        // index: mex over the neighborhood's committed colors, fused
-        // with the weight kill and the candidate-list contraction.
-        let next = ops::apply_where_compact(
-            dev,
-            "grb::is_sc_active",
-            &frontier,
-            &c,
-            |t, i| {
-                let mut forbidden: Vec<u32> = Vec::new();
-                for j in a.cols_seq(t, i) {
-                    let cj = c.read(t, j as usize);
-                    if cj != 0 {
-                        forbidden.push(cj as u32);
-                    }
-                }
-                crate::reduce::mex(&mut forbidden) as i64
-            },
-            &[(&weight, 0)],
-            &cur,
-        );
-        retired.set(cur.len() - next.len());
-        drop(cur);
-        *active.borrow_mut() = next;
-    });
-
-    let mut iterations = 0u32;
-    let mut finished = false;
-    for _ in 0..MAX_COLORS {
-        iterations += 1;
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iterations - 1);
-        dev.replay(&pipeline);
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_size", retired.get() as i64);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
         active.borrow().read_len(dev);
         if retired.get() == 0 {
             finished = true;

@@ -11,20 +11,20 @@
 //! independent set — takes that single color, which is what lets JPL
 //! *reuse* colors across iterations and beat Algorithm 2's quality.
 
-//! The default path keeps a compacted `ActiveList` of uncolored
+//! The default path keeps a compacted `Frontier` of uncolored
 //! vertices; the helper then runs push-mode — the frontier's neighbor
 //! colors are scattered by one kernel over the frontier's own edges
 //! ([`ops::scatter_adj`] replaces the Boolean `vxm` + `eWiseMult` +
 //! full-width `GxB_scatter` chain), and the possible-colors machinery
 //! spans only a prefix of the color array sized by the iteration count
 //! (at most `iterations` distinct colors can exist, so the minimum free
-//! color always lands inside the prefix). [`JplConfig::full_width`]
-//! preserves the paper's transcription.
+//! color always lands inside the prefix). [`run_on_full`] preserves the
+//! paper's transcription.
 
 use gc_graph::Csr;
-use gc_graphblas::{ops, ActiveList, BooleanOrAnd, Descriptor, Matrix, MaxTimes, Vector};
+use gc_graphblas::{ops, BooleanOrAnd, Descriptor, Matrix, MaxTimes, Vector};
 use gc_vgpu::rng::vertex_weight_i64;
-use gc_vgpu::Device;
+use gc_vgpu::{Device, Frontier};
 
 use crate::color::ColoringResult;
 
@@ -36,25 +36,12 @@ const MAX_ITERATIONS: u32 = 100_000;
 const TAKEN: i64 = i64::MAX / 2;
 
 /// JPL variant knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JplConfig {
     /// Use the §V.C-suggested optimization: knock out slot 0 of the
     /// min-array with a one-thread `GrB_assign` kernel instead of the
     /// `setElement` host→device copy the paper's profile flags.
     pub assign_instead_of_set_element: bool,
-    /// Keep a compacted active-vertex list and run the push-mode,
-    /// prefix-limited inner helper (the default). Disable for the
-    /// paper's full-width transcription.
-    pub compact_frontier: bool,
-}
-
-impl Default for JplConfig {
-    fn default() -> Self {
-        JplConfig {
-            assign_instead_of_set_element: false,
-            compact_frontier: true,
-        }
-    }
 }
 
 impl JplConfig {
@@ -67,16 +54,6 @@ impl JplConfig {
     pub fn optimized() -> Self {
         JplConfig {
             assign_instead_of_set_element: true,
-            ..JplConfig::default()
-        }
-    }
-
-    /// The pre-compaction baseline: every op spans all `n` rows (or all
-    /// `max_colors` slots) every iteration.
-    pub fn full_width() -> Self {
-        JplConfig {
-            assign_instead_of_set_element: false,
-            compact_frontier: false,
         }
     }
 }
@@ -156,14 +133,14 @@ fn jp_inner_list(
     dev: &Device,
     a: &Matrix,
     c: &Vector<i64>,
-    members: &ActiveList,
+    members: &Frontier,
     colors_arr: &Vector<i64>,
     min_array: &Vector<i64>,
     ascending: &Vector<i64>,
     limit: usize,
     cfg: JplConfig,
 ) -> i64 {
-    let prefix = ActiveList::all(limit);
+    let prefix = Frontier::all(limit);
     // Reset the possible-colors prefix and scatter the colors in use
     // around the frontier into it.
     ops::assign_scalar_list(dev, colors_arr, 0, &prefix);
@@ -194,18 +171,10 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
 }
 
 /// Runs the JPL coloring with explicit variant knobs on the provided
-/// device.
-pub fn run_on_with(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringResult {
-    if cfg.compact_frontier {
-        run_compacted(dev, g, seed, cfg)
-    } else {
-        run_full(dev, g, seed, cfg)
-    }
-}
-
-/// The compacted-frontier path: Luby selection over the active list (as
-/// in Algorithm 2's compacted form) plus the push-mode, prefix-limited
-/// [`jp_inner_list`]. Colorings are bit-identical to [`run_full`].
+/// device, on the compacted-frontier path: Luby selection over the
+/// active frontier (as in Algorithm 2's compacted form) plus the
+/// push-mode, prefix-limited `jp_inner_list`. Colorings are
+/// bit-identical to [`run_on_full`].
 ///
 /// The whole outer round — fused Luby selection, member contraction,
 /// the inner minimum-free-color helper, and the fused color/retire
@@ -214,12 +183,12 @@ pub fn run_on_with(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> Coloring
 /// kernel pipeline. The round's color limit, the frontier swap, and the
 /// empty-frontier early-out are host logic inside the captured body, so
 /// they resolve at replay time and the shrinking frontier stays exact.
-fn run_compacted(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringResult {
+pub fn run_on_with(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringResult {
     use std::cell::{Cell, RefCell};
 
     let _pool = gc_vgpu::pool::lease();
     let n = g.num_vertices();
-    // Enough slots that a free color always exists (see `run_full`); the
+    // Enough slots that a free color always exists (see `run_on_full`); the
     // per-iteration prefix keeps the touched span near the color count.
     let max_colors = n + 2;
     let a = Matrix::from_graph(dev, g);
@@ -245,7 +214,7 @@ fn run_compacted(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringRe
     // ascending = 0, 1, 2, ..., max_colors - 1.
     ops::apply_indexed(dev, &ascending, None, |i, _| i as i64, &ascending, desc);
 
-    let active = RefCell::new(ActiveList::all(n));
+    let active = RefCell::new(Frontier::all(n));
     let round = Cell::new(0u32);
     let frontier_size = Cell::new(0usize);
     let round_color = Cell::new(0i64);
@@ -330,9 +299,11 @@ fn run_compacted(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringRe
     ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
 }
 
-/// The paper's full-width transcription, kept as the pre-compaction
-/// baseline for the benchmark harness and the equivalence tests.
-fn run_full(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringResult {
+/// The paper's full-width transcription as profiled (memcpy-backed
+/// `setElement`), kept as the pre-compaction baseline for the benchmark
+/// harness and the equivalence tests.
+pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
+    let cfg = JplConfig::paper();
     let n = g.num_vertices();
     // Enough slots that a free color always exists: at most `iterations`
     // distinct colors exist when the scatter runs, and iterations <= n.
@@ -516,7 +487,7 @@ mod tests {
             complete(6),
         ] {
             let compacted = gblas_jpl(&g, 9);
-            let full = gblas_jpl_with(&g, 9, JplConfig::full_width());
+            let full = run_on_full(&Device::k40c(), &g, 9);
             assert_eq!(compacted.coloring, full.coloring);
             assert_eq!(compacted.iterations, full.iterations);
         }
@@ -526,7 +497,7 @@ mod tests {
     fn compacted_does_less_simulated_work() {
         let g = erdos_renyi(600, 0.01, 3);
         let compacted = gblas_jpl(&g, 9);
-        let full = gblas_jpl_with(&g, 9, JplConfig::full_width());
+        let full = run_on_full(&Device::k40c(), &g, 9);
         let (c, f) = (
             compacted.profile.unwrap().thread_executions,
             full.profile.unwrap().thread_executions,

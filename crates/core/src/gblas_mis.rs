@@ -10,7 +10,7 @@
 //! profiling blames for the 3× runtime, rewarded by the best color count
 //! of all implementations (better than sequential greedy).
 
-//! The default path keeps a compacted [`ActiveList`] of uncolored
+//! The default path keeps a compacted [`Frontier`] of uncolored
 //! vertices; the inner do-while contracts its own candidate list every
 //! pass and replaces the neighbor-removal `vxm` + masked `assign` pair
 //! with a push-mode [`ops::assign_adj`] over just the new members'
@@ -18,9 +18,9 @@
 //! transcription.
 
 use gc_graph::Csr;
-use gc_graphblas::{ops, ActiveList, BooleanOrAnd, Descriptor, Matrix, MaxTimes, Vector};
+use gc_graphblas::{ops, BooleanOrAnd, Descriptor, Matrix, MaxTimes, Vector};
 use gc_vgpu::rng::vertex_weight_i64;
-use gc_vgpu::Device;
+use gc_vgpu::{Device, Frontier};
 
 use crate::color::ColoringResult;
 
@@ -111,7 +111,7 @@ fn mis_inner_list(
     mis: &Vector<i64>,
     work: &Vector<i64>,
     frontier: &Vector<i64>,
-    active: &ActiveList,
+    active: &Frontier,
 ) -> usize {
     use std::cell::{Cell, RefCell};
 
@@ -120,7 +120,7 @@ fn mis_inner_list(
     // below are list-restricted).
     ops::assign_scalar_list(dev, mis, 0, active);
     ops::apply_list(dev, work, |w| w, weight, active);
-    let cand: RefCell<Option<ActiveList>> = RefCell::new(None);
+    let cand: RefCell<Option<Frontier>> = RefCell::new(None);
     let pass_added = Cell::new(0usize);
     let pass = dev.capture("grb::mis_pass", || {
         let guard = cand.borrow();
@@ -192,7 +192,7 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         desc,
     );
 
-    let mut active = ActiveList::all(n);
+    let mut active = Frontier::all(n);
     let mut iterations = 0u32;
     let mut finished = false;
     for color in 1..=(MAX_COLORS as i64) {

@@ -22,14 +22,12 @@
 //! speed — which is why the paper flags it as promising.
 
 use gc_graph::Csr;
-use gc_gunrock::{ops, DeviceCsr, Enactor, Frontier};
+use gc_gunrock::{ops, DeviceCsr};
 use gc_vgpu::rng::vertex_weight;
-use gc_vgpu::{Device, DeviceBuffer};
+use gc_vgpu::{Device, DeviceBuffer, Frontier};
 
 use crate::color::ColoringResult;
-
-/// Safety cap on rounds.
-const MAX_ITERATIONS: u32 = 100_000;
+use crate::rounds::{Rounds, Shape};
 
 /// Colors representable in the in-register forbidden bitmask; rarely
 /// exceeded (quality is greedy-like, so colors ≈ Δ-ish small numbers).
@@ -41,7 +39,8 @@ pub fn gebremedhin_manne(g: &Csr, seed: u64) -> ColoringResult {
     run_on(&dev, g, seed)
 }
 
-/// Runs GPU Gebremedhin-Manne on the provided device.
+/// Runs GPU Gebremedhin-Manne on the provided device, full width: every
+/// phase spans all `n` vertices each round (see [`Shape::FullWidth`]).
 pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     let n = g.num_vertices();
     let csr = DeviceCsr::upload(dev, g);
@@ -58,14 +57,11 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         t.write(&rand, v, vertex_weight(seed, v as u32));
     });
 
-    let frontier = Frontier::all(n);
-    let remaining = DeviceBuffer::<u32>::zeroed(1);
-    let mut enactor = Enactor::new(dev).with_max_iterations(MAX_ITERATIONS);
-    let iterations = enactor.run(|_| {
+    let round = |_: u32, frontier: &Frontier| {
         // Phase 1: speculative greedy coloring against the committed
         // colors of the previous round (reads `colors`, writes only
         // `proposals` — deterministic).
-        ops::compute(dev, "gm::speculate", &frontier, |t, v| {
+        ops::compute(dev, "gm::speculate", frontier, |t, v| {
             if t.read(&colors, v as usize) != 0 {
                 return;
             }
@@ -96,7 +92,7 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         });
 
         // Commit the proposals.
-        ops::compute(dev, "gm::commit", &frontier, |t, v| {
+        ops::compute(dev, "gm::commit", frontier, |t, v| {
             let p = t.read(&proposals, v as usize);
             if p != 0 && t.read(&colors, v as usize) == 0 {
                 t.write(&colors, v as usize, p);
@@ -105,7 +101,7 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         });
 
         // Phase 2: conflict detection (reads only; lower priority loses).
-        ops::compute(dev, "gm::conflict_detect", &frontier, |t, v| {
+        ops::compute(dev, "gm::conflict_detect", frontier, |t, v| {
             t.write(&reset, v as usize, 0);
             let cv = t.read(&colors, v as usize);
             if cv == 0 {
@@ -124,21 +120,18 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         });
 
         // Phase 3: conflict resolution.
-        ops::compute(dev, "gm::conflict_resolve", &frontier, |t, v| {
+        ops::compute(dev, "gm::conflict_resolve", frontier, |t, v| {
             if t.read(&reset, v as usize) != 0 {
                 t.write(&colors, v as usize, 0);
             }
         });
-
-        remaining.set(0, 0);
-        dev.launch("gm::check", n, |t| {
-            let v = t.tid();
-            if t.read(&colors, v) == 0 {
-                t.atomic_add(&remaining, 0, 1);
-            }
-        });
-        dev.download(&remaining)[0] > 0
-    });
+    };
+    let iterations = Rounds::new(dev, Shape::FullWidth, "gm::round", "gm::check").run(
+        n,
+        round,
+        |t, v| t.read(&colors, v as usize) == 0,
+        |_| {},
+    );
 
     let model_ms = dev.elapsed_ms();
     let launches = dev.profile().launches - launches_before;

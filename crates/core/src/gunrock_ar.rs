@@ -10,14 +10,12 @@
 //! only one color is assigned per iteration.
 
 use gc_graph::Csr;
-use gc_gunrock::{ops, DeviceCsr, Enactor, Frontier};
+use gc_gunrock::{ops, DeviceCsr};
 use gc_vgpu::rng::vertex_weight;
-use gc_vgpu::{Device, DeviceBuffer};
+use gc_vgpu::{Device, DeviceBuffer, Frontier};
 
 use crate::color::ColoringResult;
-
-/// Safety cap on iterations.
-const MAX_ITERATIONS: u32 = 100_000;
+use crate::rounds::{Rounds, Shape};
 
 /// Runs Algorithm 7 on a fresh K40c-model device.
 pub fn gunrock_ar(g: &Csr, seed: u64) -> ColoringResult {
@@ -25,28 +23,24 @@ pub fn gunrock_ar(g: &Csr, seed: u64) -> ColoringResult {
     run_on(&dev, g, seed)
 }
 
-/// Runs the full-width (pre-compaction, uncaptured) Algorithm 7 on a
-/// fresh K40c-model device — the paper-shaped baseline.
-pub fn gunrock_ar_full(g: &Csr, seed: u64) -> ColoringResult {
-    let dev = Device::k40c();
-    run_on_full(&dev, g, seed)
+/// Runs Algorithm 7 on the provided device with the compacted frontier
+/// (see [`Shape::Compacted`]): advance, map, segmented reduce, color and
+/// contraction replay as one captured launch graph per iteration, so the
+/// fixed launch overhead of AR's seven-kernel pipeline is paid once per
+/// iteration, over exactly the still-uncolored vertices.
+pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
+    run(dev, g, seed, Shape::Compacted)
 }
 
-/// Runs Algorithm 7 on the provided device with the compacted frontier
-/// (the default path).
-///
-/// The whole per-iteration pipeline — advance, map, segmented reduce,
-/// color, contraction — is captured once as a [`gc_vgpu::LaunchGraph`]
-/// and replayed each iteration, so the fixed launch overhead of AR's
-/// seven-kernel pipeline is paid once per iteration. The iteration
-/// number (the color to hand out) and the frontier are resolved at
-/// replay time; the contraction swaps the next frontier in between
-/// replays, so each replay launches over exactly the still-uncolored
-/// vertices.
-pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    use std::cell::{Cell, RefCell};
+/// Runs Algorithm 7 as the paper's Gunrock implementation launched it:
+/// every operator spans all `n` vertices every iteration (the advance
+/// enumerates every vertex's neighbor list) and a full-width count
+/// kernel tests convergence (see [`Shape::FullWidth`]).
+pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
+    run(dev, g, seed, Shape::FullWidth)
+}
 
-    let _pool = gc_vgpu::pool::lease();
+fn run(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
     let n = g.num_vertices();
     let csr = DeviceCsr::upload(dev, g);
     let colors = DeviceBuffer::<u32>::zeroed(n);
@@ -60,20 +54,16 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         t.write(&rand, v, vertex_weight(seed, v as u32));
     });
 
-    let frontier = RefCell::new(Frontier::all(n));
-    let round = Cell::new(0u32);
-    let left_cell = Cell::new(0u32);
-    let pipeline = dev.capture("ar::iteration", || {
-        let color = round.get() + 1;
-        let cur = frontier.borrow();
-
+    let full_width = shape == Shape::FullWidth;
+    let round = |iteration: u32, frontier: &Frontier| {
+        let color = iteration + 1;
         // Neighbor-reduce: max random number among *uncolored* neighbors
         // of every frontier vertex.
         let reduced = ops::neighbor_reduce(
             dev,
             "ar::neighbor_reduce",
             &csr,
-            &cur,
+            frontier,
             |t, _src, dst| {
                 if t.read(&colors, dst as usize) == 0 {
                     t.read(&rand, dst as usize)
@@ -87,9 +77,16 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         let reduced_dev = DeviceBuffer::from_slice(&reduced);
 
         // ColorRemovedOp: frontier vertices beating their reduction get
-        // this iteration's color. No colored-guard is needed: the
-        // contraction keeps the frontier uncolored-only.
-        ops::compute(dev, "ar::color_removed_op", &cur, |t, v| {
+        // this iteration's color.
+        ops::compute(dev, "ar::color_removed_op", frontier, |t, v| {
+            // At full width, already-colored vertices must keep their
+            // color: their max over uncolored neighbors shrinks over
+            // time and would let them "win" again. The compacted
+            // frontier holds only uncolored vertices, so it skips the
+            // read.
+            if full_width && t.read(&colors, v as usize) != 0 {
+                return;
+            }
             // Frontier position == thread id because compute maps 1:1.
             let i = t.tid();
             let m = t.read(&reduced_dev, i);
@@ -98,124 +95,17 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
                 t.write(&colors, v as usize, color);
             }
         });
-
-        // Contract the frontier to the still-uncolored vertices.
-        let next = ops::filter(dev, "ar::filter_uncolored", &cur, |t, v| {
-            t.read(&colors, v as usize) == 0
-        });
-        left_cell.set(next.len() as u32);
-        drop(cur);
-        *frontier.borrow_mut() = next;
-    });
-
-    let mut enactor = Enactor::new(dev).with_max_iterations(MAX_ITERATIONS);
-    let iterations = enactor.run(|iteration| {
-        // One span per bulk-synchronous iteration: the replay span the
-        // device emits below nests inside it on the tracing thread.
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iteration);
-        round.set(iteration);
-        dev.replay(&pipeline);
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_uncolored", left_cell.get());
-            iter_span.attr("colors_so_far", iteration + 1);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        left_cell.get() > 0
-    });
-
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
-}
-
-/// Runs Algorithm 7 full-width, as the paper's Gunrock implementation
-/// launched it before frontier compaction: every operator spans all `n`
-/// vertices every iteration (the advance enumerates every vertex's
-/// neighbor list) and a full-width count kernel tests convergence. The
-/// color operator gains a colored-vertex guard the compacted path gets
-/// for free from its contraction. Kept as the pre-compaction baseline
-/// for the benchmark harness and the equivalence tests.
-pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    let n = g.num_vertices();
-    let csr = DeviceCsr::upload(dev, g);
-    let colors = DeviceBuffer::<u32>::zeroed(n);
-    let rand = DeviceBuffer::<u64>::zeroed(n);
-    dev.reset();
-    let launches_before = dev.profile().launches;
-
-    dev.launch("ar::init_random", n, |t| {
-        let v = t.tid();
-        t.charge(12);
-        t.write(&rand, v, vertex_weight(seed, v as u32));
-    });
-
-    let frontier = Frontier::all(n);
-    let remaining = DeviceBuffer::<u32>::zeroed(1);
-    let mut enactor = Enactor::new(dev).with_max_iterations(MAX_ITERATIONS);
-    let iterations = enactor.run(|iteration| {
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iteration);
-        let color = iteration + 1;
-
-        let reduced = ops::neighbor_reduce(
-            dev,
-            "ar::neighbor_reduce",
-            &csr,
-            &frontier,
-            |t, _src, dst| {
-                if t.read(&colors, dst as usize) == 0 {
-                    t.read(&rand, dst as usize)
-                } else {
-                    0
-                }
-            },
-            0u64,
-            u64::max,
-        );
-        let reduced_dev = DeviceBuffer::from_slice(&reduced);
-
-        ops::compute(dev, "ar::color_removed_op", &frontier, |t, v| {
-            // Already-colored vertices must keep their color: their max
-            // over uncolored neighbors shrinks over time and would let
-            // them "win" again.
-            if t.read(&colors, v as usize) != 0 {
-                return;
-            }
-            let i = t.tid();
-            let m = t.read(&reduced_dev, i);
-            let rv = t.read(&rand, v as usize);
-            if rv > m {
-                t.write(&colors, v as usize, color);
-            }
-        });
-
-        // Full-width convergence test: count the still-uncolored.
-        remaining.set(0, 0);
-        dev.launch("ar::check_op", n, |t| {
-            let v = t.tid();
-            if t.read(&colors, v) == 0 {
-                t.atomic_add(&remaining, 0, 1);
-            }
-        });
-        let left = dev.download(&remaining)[0];
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_uncolored", left);
-            iter_span.attr("colors_so_far", color);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        left > 0
-    });
+    };
+    let keep_kernel = match shape {
+        Shape::Compacted => "ar::filter_uncolored",
+        Shape::FullWidth => "ar::check_op",
+    };
+    let iterations = Rounds::new(dev, shape, "ar::iteration", keep_kernel).run(
+        n,
+        round,
+        |t, v| t.read(&colors, v as usize) == 0,
+        |_| {},
+    );
 
     let model_ms = dev.elapsed_ms();
     let launches = dev.profile().launches - launches_before;
@@ -284,7 +174,7 @@ mod tests {
         // one) but stays — see ar_stays_slower_than_is_when_captured.
         let g = erdos_renyi(800, 0.01, 3);
         let ar = run_on_full(&Device::k40c(), &g, 5);
-        let is = gunrock_is::gunrock_is(&g, 5, IsConfig::full_width());
+        let is = gunrock_is::run_on_full(&Device::k40c(), &g, 5, IsConfig::min_max());
         assert_proper(&g, ar.coloring.as_slice());
         assert!(
             ar.model_ms > 3.0 * is.model_ms,

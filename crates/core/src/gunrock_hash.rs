@@ -12,11 +12,12 @@
 //! operators (and their global synchronizations) per iteration.
 
 use gc_graph::Csr;
-use gc_gunrock::{ops, DeviceCsr, Enactor, Frontier};
+use gc_gunrock::{ops, DeviceCsr};
 use gc_vgpu::rng::vertex_weight;
-use gc_vgpu::{Device, DeviceBuffer};
+use gc_vgpu::{Device, DeviceBuffer, Frontier};
 
 use crate::color::ColoringResult;
+use crate::rounds::{Rounds, Shape};
 
 /// Tunables for Algorithm 6.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,15 +26,6 @@ pub struct HashConfig {
     /// hash table size is a modifiable value, and is inversely related
     /// to the number of conflicts."
     pub hash_size: usize,
-    /// Maintain a compacted active-vertex frontier: all five operators
-    /// launch over `|frontier|` threads and the contraction (after
-    /// conflict resolution) replaces the full-width uncolored count.
-    /// Safe because conflicts only arise between vertices colored in the
-    /// same iteration — the reuse guard (proposals only trust non-full
-    /// hash tables) means a proposal never collides with an
-    /// earlier-iteration color — and all same-iteration colorees are in
-    /// the frontier. Colorings are identical either way.
-    pub compact_frontier: bool,
     /// Safety cap on iterations.
     pub max_iterations: u32,
 }
@@ -42,19 +34,7 @@ impl Default for HashConfig {
     fn default() -> Self {
         HashConfig {
             hash_size: 8,
-            compact_frontier: true,
             max_iterations: 100_000,
-        }
-    }
-}
-
-impl HashConfig {
-    /// The pre-compaction launch shape: every operator runs over all `n`
-    /// vertices. Kept as the benchmark baseline and equivalence oracle.
-    pub fn full_width() -> Self {
-        HashConfig {
-            compact_frontier: false,
-            ..Default::default()
         }
     }
 }
@@ -65,19 +45,29 @@ pub fn gunrock_hash(g: &Csr, seed: u64, cfg: HashConfig) -> ColoringResult {
     run_on(&dev, g, seed, cfg)
 }
 
-/// Runs Algorithm 6 on the provided device.
+/// Runs Algorithm 6 on the provided device with the compacted frontier
+/// (see [`Shape::Compacted`]): the four operators, the fused
+/// contraction and the hash-table generation over the contracted
+/// survivors replay as one captured launch graph per iteration, so the
+/// fixed launch overhead is paid once per iteration instead of six
+/// times.
 ///
-/// With `compact_frontier` set (the default), the whole per-iteration
-/// pipeline — four operators, the fused contraction, and the hash-table
-/// generation over the contracted survivors — is captured once as a
-/// [`gc_vgpu::LaunchGraph`] and replayed each iteration, so the fixed
-/// launch overhead is paid once per iteration instead of six times. The
-/// iteration number (which picks the fresh color pair) and the frontier
-/// are resolved at replay time.
+/// Compaction is safe because conflicts only arise between vertices
+/// colored in the same iteration — the reuse guard (proposals only trust
+/// non-full hash tables) means a proposal never collides with an
+/// earlier-iteration color — and all same-iteration colorees are in the
+/// frontier. Colorings are identical to [`run_on_full`]'s.
 pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HashConfig) -> ColoringResult {
-    use std::cell::{Cell, RefCell};
+    run(dev, g, seed, cfg, Shape::Compacted)
+}
 
-    let _pool = gc_vgpu::pool::lease();
+/// Runs Algorithm 6 in the paper's launch shape: every operator over all
+/// `n` vertices (see [`Shape::FullWidth`]).
+pub fn run_on_full(dev: &Device, g: &Csr, seed: u64, cfg: HashConfig) -> ColoringResult {
+    run(dev, g, seed, cfg, Shape::FullWidth)
+}
+
+fn run(dev: &Device, g: &Csr, seed: u64, cfg: HashConfig, shape: Shape) -> ColoringResult {
     let n = g.num_vertices();
     let hs = cfg.hash_size;
     let csr = DeviceCsr::upload(dev, g);
@@ -96,12 +86,8 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HashConfig) -> ColoringResu
         t.write(&rand, v, vertex_weight(seed, v as u32));
     });
 
-    let frontier = RefCell::new(Frontier::all(n));
-    let remaining = DeviceBuffer::<u32>::zeroed(1);
-
     // Propose / apply / detect / resolve — the four operators up to the
-    // contraction point, issued identically by the compacted (captured)
-    // and full-width paths.
+    // contraction point.
     let propose_resolve = |iteration: u32, frontier: &Frontier| {
         let color_max = 2 * iteration + 1;
         let color_min = 2 * iteration + 2;
@@ -214,12 +200,13 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HashConfig) -> ColoringResu
                 t.write(&colors, v as usize, 0);
             }
         });
-        used_colors
     };
 
     // --- Hash-table generation ------------------------------------------
     // Each (still-uncolored) vertex records its neighbors' colors in its
-    // own table; full tables ignore new colors.
+    // own table; full tables ignore new colors. Runs after the
+    // contraction, so at compacted shape it launches over exactly the
+    // survivors.
     let gen_hash = |frontier: &Frontier| {
         ops::compute(dev, "hash::hash_gen", frontier, |t, v| {
             if t.read(&colors, v as usize) != 0 {
@@ -245,64 +232,14 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HashConfig) -> ColoringResu
         });
     };
 
-    // Capture the per-iteration pipeline once; the iteration number and
-    // the frontier (which the contraction swaps between replays) are
-    // resolved at replay time, so every iteration replays this graph.
-    let round = Cell::new(0u32);
-    let left_cell = Cell::new(0u32);
-    let pipeline = cfg.compact_frontier.then(|| {
-        dev.capture("hash::iteration", || {
-            let cur = frontier.borrow();
-            propose_resolve(round.get(), &cur);
-            // Contract to the still-uncolored vertices: the output
-            // length is the convergence test, and hash_gen (which the
-            // full-width path gates with an early return on colored
-            // vertices) launches over exactly the surviving set.
-            let next = ops::filter(dev, "hash::check_op", &cur, |t, v| {
-                t.read(&colors, v as usize) == 0
-            });
-            left_cell.set(next.len() as u32);
-            drop(cur);
-            gen_hash(&next);
-            *frontier.borrow_mut() = next;
-        })
-    });
-
-    let mut enactor = Enactor::new(dev).with_max_iterations(cfg.max_iterations);
-    let iterations = enactor.run(|iteration| {
-        // One span per bulk-synchronous iteration: kernel events emitted
-        // by the device below nest inside it on the tracing thread.
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iteration);
-        let left = if let Some(pipeline) = &pipeline {
-            round.set(iteration);
-            dev.replay(pipeline);
-            left_cell.get()
-        } else {
-            let cur = frontier.borrow();
-            propose_resolve(iteration, &cur);
-            gen_hash(&cur);
-            remaining.set(0, 0);
-            dev.launch("hash::check_op", n, |t| {
-                let v = t.tid();
-                if t.read(&colors, v) == 0 {
-                    t.atomic_add(&remaining, 0, 1);
-                }
-            });
-            dev.download(&remaining)[0]
-        };
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_uncolored", left);
-            iter_span.attr("colors_so_far", 2 * iteration + 2);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        left > 0
-    });
+    let iterations = Rounds::new(dev, shape, "hash::iteration", "hash::check_op")
+        .max_rounds(cfg.max_iterations)
+        .run(
+            n,
+            propose_resolve,
+            |t, v| t.read(&colors, v as usize) == 0,
+            gen_hash,
+        );
 
     let model_ms = dev.elapsed_ms();
     let launches = dev.profile().launches - launches_before;
@@ -382,8 +319,8 @@ mod tests {
         // full-width arms; the captured pipelines amortize exactly the
         // overhead the claim rests on.
         let g = erdos_renyi(600, 0.02, 13);
-        let hash = gunrock_hash(&g, 3, HashConfig::full_width());
-        let is = gunrock_is::gunrock_is(&g, 3, IsConfig::full_width());
+        let hash = run_on_full(&Device::k40c(), &g, 3, HashConfig::default());
+        let is = gunrock_is::run_on_full(&Device::k40c(), &g, 3, IsConfig::min_max());
         assert!(
             hash.model_ms > is.model_ms,
             "hash {} vs IS {}",
@@ -401,7 +338,7 @@ mod tests {
             complete(6),
         ] {
             let compacted = gunrock_hash(&g, 9, HashConfig::default());
-            let full = gunrock_hash(&g, 9, HashConfig::full_width());
+            let full = run_on_full(&Device::k40c(), &g, 9, HashConfig::default());
             assert_eq!(compacted.coloring, full.coloring);
             assert_eq!(compacted.iterations, full.iterations);
             assert!(compacted.kernel_launches <= full.kernel_launches);

@@ -18,11 +18,12 @@
 //! random numbers are tie-free.
 
 use gc_graph::Csr;
-use gc_gunrock::{ops, DeviceCsr, Enactor, Frontier};
+use gc_gunrock::{ops, DeviceCsr};
 use gc_vgpu::rng::vertex_weight;
-use gc_vgpu::{Device, DeviceBuffer};
+use gc_vgpu::{Device, DeviceBuffer, Frontier};
 
 use crate::color::ColoringResult;
+use crate::rounds::{Rounds, Shape};
 
 /// How per-vertex priorities are generated.
 ///
@@ -56,14 +57,6 @@ pub struct IsConfig {
     /// for the paper's high-degree (af_shell3) pathology, at the price
     /// of extra kernels per iteration.
     pub load_balance: bool,
-    /// Maintain a compacted active-vertex frontier: per-iteration
-    /// kernels launch over `|frontier|` threads instead of `n`, and the
-    /// contraction's output length doubles as the convergence test
-    /// (replacing the full-width uncolored count). Colorings are
-    /// identical either way — the kernels early-return on colored
-    /// vertices, so restricting the launch to the uncolored set removes
-    /// only no-op threads.
-    pub compact_frontier: bool,
     /// Quality tier (Chen et al.): *short-cutting*. Winners first-fit
     /// into the lowest color legal for their whole neighborhood instead
     /// of taking this round's fixed color index. The winner sets are
@@ -85,7 +78,6 @@ impl Default for IsConfig {
             use_atomics: false,
             weight_mode: WeightMode::Random,
             load_balance: false,
-            compact_frontier: true,
             short_cutting: false,
             max_iterations: 100_000,
         }
@@ -140,17 +132,6 @@ impl IsConfig {
             ..Default::default()
         }
     }
-
-    /// The pre-compaction launch shape: every per-iteration kernel runs
-    /// over all `n` vertices and convergence is a full-width uncolored
-    /// count. Kept as the benchmark baseline and the equivalence oracle
-    /// for the frontier-compacted default.
-    pub fn full_width() -> Self {
-        IsConfig {
-            compact_frontier: false,
-            ..Default::default()
-        }
-    }
 }
 
 /// Runs Algorithm 5 on a fresh K40c-model device.
@@ -174,19 +155,24 @@ pub fn gunrock_is(g: &Csr, seed: u64, cfg: IsConfig) -> ColoringResult {
 
 /// Runs Algorithm 5 on the provided device (model time = device clock
 /// delta; graph upload and result download are outside the timed span,
-/// as in the paper's methodology).
-///
-/// On the compacted-frontier default, the per-iteration pipeline (color
-/// kernel(s) plus the fused contraction) is captured once as a
-/// [`gc_vgpu::LaunchGraph`] and replayed per bulk-synchronous iteration:
-/// the kernels bill their full work, the fixed launch overhead is paid
-/// once per iteration, and the frontier length is resolved at replay
-/// time, so colorings stay bit-identical to the uncaptured form. The
-/// full-width baseline keeps the paper's one-launch-per-op shape.
+/// as in the paper's methodology) with the compacted frontier: each
+/// round's color kernel(s) and the fused contraction are captured once
+/// and replayed over the still-uncolored vertices (see
+/// [`Shape::Compacted`]). Colorings are identical to [`run_on_full`]'s —
+/// the kernels early-return on colored vertices, so restricting the
+/// launch to the uncolored set removes only no-op threads.
 pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig) -> ColoringResult {
-    use std::cell::{Cell, RefCell};
+    run(dev, g, seed, cfg, Shape::Compacted)
+}
 
-    let _pool = gc_vgpu::pool::lease();
+/// Runs Algorithm 5 in the paper's launch shape: every kernel over all
+/// `n` vertices, one dispatch each, and a full-width uncolored count
+/// (see [`Shape::FullWidth`]).
+pub fn run_on_full(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig) -> ColoringResult {
+    run(dev, g, seed, cfg, Shape::FullWidth)
+}
+
+fn run(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig, shape: Shape) -> ColoringResult {
     let n = g.num_vertices();
     let csr = DeviceCsr::upload(dev, g);
     let colors = DeviceBuffer::<u32>::zeroed(n);
@@ -212,11 +198,8 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig) -> ColoringResult
         }),
     }
 
-    let frontier = RefCell::new(Frontier::all(n));
-    let remaining = DeviceBuffer::<u32>::zeroed(1);
-
-    // The iteration's color kernels, shared by the captured-replay and
-    // full-width paths.
+    // The round's color kernels; the loop contracts the frontier to the
+    // still-uncolored vertices after them.
     let issue_color = |iteration: u32, frontier: &Frontier| {
         let base = if cfg.min_max {
             2 * iteration
@@ -397,71 +380,14 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig) -> ColoringResult
         }
     };
 
-    // Compacted path: capture color kernels + fused contraction once,
-    // replay per iteration. The iteration number and the frontier swap
-    // resolve inside the captured body at replay time.
-    let round = Cell::new(0u32);
-    let left_cell = Cell::new(0u32);
-    let pipeline = cfg.compact_frontier.then(|| {
-        dev.capture("is::iteration", || {
-            let cur = frontier.borrow();
-            issue_color(round.get(), &cur);
-            // Contract the frontier to the still-uncolored vertices —
-            // the output length is the convergence test and next
-            // iteration's kernels launch over it.
-            let next = ops::filter(dev, "is::check_op", &cur, |t, v| {
-                t.read(&colors, v as usize) == 0
-            });
-            left_cell.set(next.len() as u32);
-            drop(cur);
-            *frontier.borrow_mut() = next;
-        })
-    });
-
-    let mut enactor = Enactor::new(dev).with_max_iterations(cfg.max_iterations);
-    let iterations = enactor.run(|iteration| {
-        // One span per bulk-synchronous iteration: kernel events emitted
-        // by the device below nest inside it on the tracing thread.
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iteration);
-        let base = if cfg.min_max {
-            2 * iteration
-        } else {
-            iteration
-        };
-
-        let left = if let Some(pipeline) = &pipeline {
-            round.set(iteration);
-            dev.replay(pipeline);
-            left_cell.get()
-        } else {
-            // Legacy full-width path: every op one launch, uncolored
-            // count over all n.
-            issue_color(iteration, &frontier.borrow());
-            remaining.set(0, 0);
-            dev.launch("is::check_op", n, |t| {
-                let v = t.tid();
-                if t.read(&colors, v) == 0 {
-                    t.atomic_add(&remaining, 0, 1);
-                }
-            });
-            dev.download(&remaining)[0]
-        };
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_uncolored", left);
-            iter_span.attr(
-                "colors_so_far",
-                if cfg.min_max { base + 2 } else { base + 1 },
-            );
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        left > 0
-    });
+    let iterations = Rounds::new(dev, shape, "is::iteration", "is::check_op")
+        .max_rounds(cfg.max_iterations)
+        .run(
+            n,
+            issue_color,
+            |t, v| t.read(&colors, v as usize) == 0,
+            |_| {},
+        );
 
     let model_ms = dev.elapsed_ms();
     let launches = dev.profile().launches - launches_before;
@@ -695,14 +621,7 @@ mod tests {
     fn short_cutting_compacted_matches_full_width() {
         let g = erdos_renyi(250, 0.03, 6);
         let compacted = gunrock_is(&g, 2, IsConfig::short_cut());
-        let full = gunrock_is(
-            &g,
-            2,
-            IsConfig {
-                compact_frontier: false,
-                ..IsConfig::short_cut()
-            },
-        );
+        let full = run_on_full(&Device::k40c(), &g, 2, IsConfig::short_cut());
         assert_eq!(compacted.coloring, full.coloring);
         assert_eq!(compacted.iterations, full.iterations);
     }
@@ -716,7 +635,7 @@ mod tests {
             complete(6),
         ] {
             let compacted = gunrock_is(&g, 9, IsConfig::min_max());
-            let full = gunrock_is(&g, 9, IsConfig::full_width());
+            let full = run_on_full(&Device::k40c(), &g, 9, IsConfig::min_max());
             assert_eq!(compacted.coloring, full.coloring);
             assert_eq!(compacted.iterations, full.iterations);
             // The captured path must never dispatch more than the

@@ -41,19 +41,15 @@
 //! assert!(r.num_colors as usize <= g.max_degree() + 1);
 //! ```
 
-use std::cell::{Cell, RefCell};
-
 use gc_graph::Csr;
-use gc_gunrock::{ops, Frontier};
+use gc_gunrock::ops;
 use gc_vgpu::rng::uniform_u32;
-use gc_vgpu::{Device, DeviceBuffer};
+use gc_vgpu::{Device, DeviceBuffer, Frontier};
 
 use crate::color::ColoringResult;
 use crate::cpu_model::CpuModel;
 use crate::reduce::mex;
-
-/// Safety cap on device rounds.
-const MAX_ITERATIONS: u32 = 100_000;
+use crate::rounds::{Rounds, Shape};
 
 /// Cycles charged per in-register hash evaluation.
 const HASH_CYCLES: u64 = 10;
@@ -79,7 +75,7 @@ impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
             straggler_divisor: 4,
-            max_iterations: MAX_ITERATIONS,
+            max_iterations: 100_000,
         }
     }
 }
@@ -99,17 +95,12 @@ pub fn hybrid_jp(g: &Csr, seed: u64) -> ColoringResult {
 
 /// `Hybrid/Color_JP` on a provided device.
 pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HybridConfig) -> ColoringResult {
-    let _pool = gc_vgpu::pool::lease();
     let n = g.num_vertices();
     let csr = gc_gunrock::DeviceCsr::upload(dev, g);
     let colors = DeviceBuffer::<u32>::zeroed(n);
     let winner = DeviceBuffer::<u32>::zeroed(n);
     dev.reset();
     let launches_before = dev.profile().launches;
-
-    let frontier = RefCell::new(Frontier::all(n));
-    let round = Cell::new(0u32);
-    let left_cell = Cell::new(n as u32);
 
     // First-fit assignment: smallest color absent from the *entire*
     // neighborhood. Winner sets are independent sets, so concurrent
@@ -128,17 +119,12 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HybridConfig) -> ColoringRe
         t.write(&colors, v as usize, mex(&mut forbidden));
     };
 
-    // One device round: elect both winner sets, commit maxima, then
-    // commit minima fused with the frontier contraction.
-    let pipeline = dev.capture("hybrid::round", || {
-        let cur = frontier.borrow();
-        // The round index is read on the host each replay (the capture
-        // closure re-executes) and moves into the kernel as a plain
-        // copy, keeping the kernel closure `Sync`.
-        let r = round.get();
+    // One device round: elect both winner sets and commit maxima; the
+    // loop's contraction then commits minima.
+    let round = |r: u32, frontier: &Frontier| {
         // Select: flags only, no color writes, so every color read in
         // this kernel is stable and the winner sets are deterministic.
-        ops::compute(dev, "hybrid::select", &cur, |t, v| {
+        ops::compute(dev, "hybrid::select", frontier, |t, v| {
             t.charge(HASH_CYCLES);
             let kv = key(seed, r, v);
             let mut is_max = true;
@@ -174,53 +160,31 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HybridConfig) -> ColoringRe
             };
             t.write(&winner, v as usize, flag);
         });
-        ops::compute(dev, "hybrid::assign_max", &cur, |t, v| {
+        ops::compute(dev, "hybrid::assign_max", frontier, |t, v| {
             if t.read(&winner, v as usize) == 1 {
                 assign_mex(t, v);
             }
         });
-        // Min-winners commit *after* the max kernel so an adjacent
-        // max-winner's fresh color lands in their forbidden set; fusing
-        // the assignment into the contraction saves the fourth kernel.
-        let next = ops::filter(dev, "hybrid::assign_min", &cur, |t, v| {
-            if t.read(&winner, v as usize) == 2 {
-                assign_mex(t, v);
-                return false;
-            }
-            t.read(&colors, v as usize) == 0
-        });
-        left_cell.set(next.len() as u32);
-        drop(cur);
-        *frontier.borrow_mut() = next;
-    });
-
-    let cutoff = n as u32 / cfg.straggler_divisor.max(1);
-    let mut iterations = 0u32;
-    loop {
-        assert!(
-            iterations < cfg.max_iterations,
-            "hybrid failed to terminate"
+    };
+    // Min-winners commit *after* the max kernel so an adjacent
+    // max-winner's fresh color lands in their forbidden set; fusing the
+    // assignment into the contraction saves the fourth kernel. The loop
+    // stops once fewer than n / straggler_divisor vertices survive.
+    let iterations = Rounds::new(dev, Shape::Compacted, "hybrid::round", "hybrid::assign_min")
+        .max_rounds(cfg.max_iterations)
+        .stop_below(n / cfg.straggler_divisor.max(1) as usize)
+        .run(
+            n,
+            round,
+            |t, v| {
+                if t.read(&winner, v as usize) == 2 {
+                    assign_mex(t, v);
+                    return false;
+                }
+                t.read(&colors, v as usize) == 0
+            },
+            |_| {},
         );
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iterations);
-        round.set(iterations);
-        dev.replay(&pipeline);
-        let left = left_cell.get();
-        dev.sync();
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_uncolored", left);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        iterations += 1;
-        if left == 0 || left < cutoff {
-            break;
-        }
-    }
 
     // Straggler tail: one metered download, then sequential first-fit
     // in ascending vertex order, billed on the paper's CPU model.

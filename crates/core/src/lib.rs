@@ -52,6 +52,14 @@
 //! model runtime in milliseconds, and iteration/launch statistics.
 //! [`runner`] exposes the uniform registry the benches and examples use.
 //!
+//! The Gunrock-style device colorers (Gunrock IS/Hash/AR, both Naumov
+//! baselines, the hybrid and GPU Gebremedhin-Manne) are round bodies on
+//! one bulk-synchronous loop, [`rounds`]: it owns capture/replay,
+//! frontier contraction, the per-round sync and the iteration spans,
+//! and takes the launch shape — compacted frontier, or the paper's
+//! full-width launches — as a parameter. [`Colorer::run_full_width`] is
+//! the one place that asks for the paper's shape.
+//!
 //! ```
 //! use gc_core::runner::colorer_by_name;
 //! use gc_core::verify::is_proper;
@@ -79,6 +87,7 @@ pub mod hybrid;
 pub mod jp_cpu;
 pub mod naumov;
 pub mod reduce;
+pub mod rounds;
 pub mod runner;
 pub mod verify;
 

@@ -17,14 +17,12 @@
 //!   figure the paper quotes against GraphBLAST MIS.
 
 use gc_graph::Csr;
-use gc_gunrock::{ops, Frontier};
+use gc_gunrock::ops;
 use gc_vgpu::rng::uniform_u32;
-use gc_vgpu::{Device, DeviceBuffer};
+use gc_vgpu::{Device, DeviceBuffer, Frontier};
 
 use crate::color::ColoringResult;
-
-/// Safety cap on iterations.
-const MAX_ITERATIONS: u32 = 100_000;
+use crate::rounds::{Rounds, Shape};
 
 /// Cycles charged per in-register hash evaluation.
 const HASH_CYCLES: u64 = 10;
@@ -46,31 +44,26 @@ pub fn naumov_jpl(g: &Csr, seed: u64) -> ColoringResult {
 /// `Naumov/Color_JPL` on a provided device (frontier-compacted: each
 /// iteration's kernel launches over the uncolored set, contracted by a
 /// stream compaction whose output length doubles as the convergence
-/// test).
+/// test; see [`Shape::Compacted`]).
 pub fn jpl_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    jpl_on_with(dev, g, seed, true)
+    jpl(dev, g, seed, Shape::Compacted)
 }
 
-/// `Naumov/Color_JPL` with the pre-compaction launch shape: every
-/// iteration runs over all `n` vertices plus a full-width uncolored
-/// count. Kept as the benchmark baseline and equivalence oracle.
+/// `Naumov/Color_JPL` with the paper's launch shape: every iteration
+/// runs over all `n` vertices plus a full-width uncolored count (see
+/// [`Shape::FullWidth`]).
 pub fn jpl_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    jpl_on_with(dev, g, seed, false)
+    jpl(dev, g, seed, Shape::FullWidth)
 }
 
-fn jpl_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> ColoringResult {
-    use std::cell::{Cell, RefCell};
-
-    let _pool = compact_frontier.then(gc_vgpu::pool::lease);
+fn jpl(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
     let n = g.num_vertices();
     let csr = gc_gunrock::DeviceCsr::upload(dev, g);
     let colors = DeviceBuffer::<u32>::zeroed(n);
     dev.reset();
     let launches_before = dev.profile().launches;
 
-    let frontier = RefCell::new(Frontier::all(n));
-    let remaining = DeviceBuffer::<u32>::zeroed(1);
-
+    // The iteration number reseeds the in-register hashes.
     let jpl_kernel = |iteration: u32, frontier: &Frontier| {
         let color = iteration + 1;
         ops::compute(dev, "naumov::jpl_kernel", frontier, |t, v| {
@@ -102,66 +95,25 @@ fn jpl_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> Colo
             }
         });
     };
-
-    // Capture the JPL round once; the iteration number (which reseeds
-    // the in-register hashes) and the frontier are resolved at replay.
-    let round = Cell::new(0u32);
-    let left_cell = Cell::new(0u32);
-    let pipeline = compact_frontier.then(|| {
-        dev.capture("naumov::jpl_round", || {
-            let cur = frontier.borrow();
-            jpl_kernel(round.get(), &cur);
-            let next = ops::filter(dev, "naumov::frontier", &cur, |t, v| {
-                t.read(&colors, v as usize) == 0
-            });
-            left_cell.set(next.len() as u32);
-            drop(cur);
-            *frontier.borrow_mut() = next;
-        })
-    });
-
-    let mut iterations = 0u32;
-    loop {
-        assert!(iterations < MAX_ITERATIONS, "JPL failed to terminate");
-        // One span per bulk-synchronous iteration: kernel events emitted
-        // by the device below nest inside it on the tracing thread.
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iterations);
-        let left = if let Some(pipeline) = &pipeline {
-            round.set(iterations);
-            dev.replay(pipeline);
-            left_cell.get()
-        } else {
-            jpl_kernel(iterations, &frontier.borrow());
-            remaining.set(0, 0);
-            dev.launch("naumov::count_uncolored", n, |t| {
-                let v = t.tid();
-                if t.read(&colors, v) == 0 {
-                    t.atomic_add(&remaining, 0, 1);
-                }
-            });
-            dev.download(&remaining)[0]
-        };
-        dev.sync();
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_uncolored", left);
-            iter_span.attr("colors_so_far", iterations + 1);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        iterations += 1;
-        if left == 0 {
-            break;
-        }
-    }
+    let iterations = rounds(dev, shape, "naumov::jpl_round").run(
+        n,
+        jpl_kernel,
+        |t, v| t.read(&colors, v as usize) == 0,
+        |_| {},
+    );
 
     let model_ms = dev.elapsed_ms();
     let launches = dev.profile().launches - launches_before;
     ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
+}
+
+/// The round loop both baselines run on.
+fn rounds<'d>(dev: &'d Device, shape: Shape, graph: &'static str) -> Rounds<'d> {
+    let keep_kernel = match shape {
+        Shape::Compacted => "naumov::frontier",
+        Shape::FullWidth => "naumov::count_uncolored",
+    };
+    Rounds::new(dev, shape, graph, keep_kernel)
 }
 
 /// Number of hash functions per `Color_CC` iteration.
@@ -176,28 +128,23 @@ pub fn naumov_cc(g: &Csr, seed: u64) -> ColoringResult {
 /// `Naumov/Color_CC` on a provided device (frontier-compacted; see
 /// [`jpl_on`]).
 pub fn cc_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    cc_on_with(dev, g, seed, true)
+    cc(dev, g, seed, Shape::Compacted)
 }
 
-/// `Naumov/Color_CC` with the pre-compaction launch shape (see
+/// `Naumov/Color_CC` with the paper's launch shape (see
 /// [`jpl_on_full`]).
 pub fn cc_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    cc_on_with(dev, g, seed, false)
+    cc(dev, g, seed, Shape::FullWidth)
 }
 
-fn cc_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> ColoringResult {
-    use std::cell::{Cell, RefCell};
-
-    let _pool = compact_frontier.then(gc_vgpu::pool::lease);
+fn cc(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
     let n = g.num_vertices();
     let csr = gc_gunrock::DeviceCsr::upload(dev, g);
     let colors = DeviceBuffer::<u32>::zeroed(n);
     dev.reset();
     let launches_before = dev.profile().launches;
 
-    let frontier = RefCell::new(Frontier::all(n));
-    let remaining = DeviceBuffer::<u32>::zeroed(1);
-
+    // The iteration number reseeds all CC_HASHES hash functions.
     let cc_kernel = |iteration: u32, frontier: &Frontier| {
         let base = iteration * 2 * CC_HASHES;
         ops::compute(dev, "naumov::cc_kernel", frontier, |t, v| {
@@ -247,60 +194,12 @@ fn cc_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> Color
         });
     };
 
-    // Capture the CC round once (see `jpl_on_with`): the iteration
-    // number reseeds all CC_HASHES hash functions at replay time.
-    let round = Cell::new(0u32);
-    let left_cell = Cell::new(0u32);
-    let pipeline = compact_frontier.then(|| {
-        dev.capture("naumov::cc_round", || {
-            let cur = frontier.borrow();
-            cc_kernel(round.get(), &cur);
-            let next = ops::filter(dev, "naumov::frontier", &cur, |t, v| {
-                t.read(&colors, v as usize) == 0
-            });
-            left_cell.set(next.len() as u32);
-            drop(cur);
-            *frontier.borrow_mut() = next;
-        })
-    });
-
-    let mut iterations = 0u32;
-    loop {
-        assert!(iterations < MAX_ITERATIONS, "CC failed to terminate");
-        // One span per bulk-synchronous iteration (see `jpl_on`).
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iterations);
-        let left = if let Some(pipeline) = &pipeline {
-            round.set(iterations);
-            dev.replay(pipeline);
-            left_cell.get()
-        } else {
-            cc_kernel(iterations, &frontier.borrow());
-            remaining.set(0, 0);
-            dev.launch("naumov::count_uncolored", n, |t| {
-                let v = t.tid();
-                if t.read(&colors, v) == 0 {
-                    t.atomic_add(&remaining, 0, 1);
-                }
-            });
-            dev.download(&remaining)[0]
-        };
-        dev.sync();
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_uncolored", left);
-            iter_span.attr("colors_so_far", (iterations + 1) * 2 * CC_HASHES);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        iterations += 1;
-        if left == 0 {
-            break;
-        }
-    }
+    let iterations = rounds(dev, shape, "naumov::cc_round").run(
+        n,
+        cc_kernel,
+        |t, v| t.read(&colors, v as usize) == 0,
+        |_| {},
+    );
 
     let model_ms = dev.elapsed_ms();
     let launches = dev.profile().launches - launches_before;

@@ -11,14 +11,12 @@ use proptest::prelude::*;
 use gc_graph::{Csr, GraphBuilder};
 use gc_vgpu::{primitives, Device, DeviceBuffer};
 
-use crate::color::{count_distinct, ColoringResult};
-use crate::gblas_jpl::{gblas_jpl_with, JplConfig};
+use crate::color::count_distinct;
 use crate::greedy::{greedy, Ordering};
-use crate::gunrock_hash::{gunrock_hash, HashConfig};
 use crate::gunrock_is::{gunrock_is, IsConfig};
 use crate::hybrid::{self, HybridConfig};
 use crate::reduce::{reduce_colors, ReduceBudget};
-use crate::runner::all_colorers;
+use crate::runner::{all_colorers, all_known_colorers};
 use crate::verify::is_proper;
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
@@ -70,65 +68,25 @@ proptest! {
         }
     }
 
-    // Frontier compaction is a pure work optimization: every colorer
-    // with a full-width twin must produce the identical coloring in the
-    // identical number of iterations on arbitrary graphs.
+    // Frontier compaction is a pure work optimization: every registered
+    // colorer's paper-shaped full-width run must produce the identical
+    // coloring in the identical number of iterations on arbitrary graphs.
     #[test]
     fn compacted_colorings_match_full_width(g in arb_graph(), seed in 0u64..200) {
-        let pairs: [(&str, ColoringResult, ColoringResult); 8] = [
-            (
-                "GraphBLAST/Color_IS",
-                crate::gblas_is::run_on(&Device::k40c(), &g, seed),
-                crate::gblas_is::run_on_full(&Device::k40c(), &g, seed),
-            ),
-            (
-                "GraphBLAST/Color_MIS",
-                crate::gblas_mis::run_on(&Device::k40c(), &g, seed),
-                crate::gblas_mis::run_on_full(&Device::k40c(), &g, seed),
-            ),
-            (
-                "GraphBLAST/Color_JPL",
-                gblas_jpl_with(&g, seed, JplConfig::paper()),
-                gblas_jpl_with(&g, seed, JplConfig::full_width()),
-            ),
-            (
-                "Gunrock/Color_IS",
-                gunrock_is(&g, seed, IsConfig::min_max()),
-                gunrock_is(&g, seed, IsConfig { compact_frontier: false, ..IsConfig::min_max() }),
-            ),
-            (
-                "Gunrock/Color_Hash",
-                gunrock_hash(&g, seed, HashConfig::default()),
-                gunrock_hash(&g, seed, HashConfig::full_width()),
-            ),
-            (
-                "Gunrock/Color_AR",
-                crate::gunrock_ar::run_on(&Device::k40c(), &g, seed),
-                crate::gunrock_ar::run_on_full(&Device::k40c(), &g, seed),
-            ),
-            (
-                "Naumov/Color_JPL",
-                crate::naumov::jpl_on(&Device::k40c(), &g, seed),
-                crate::naumov::jpl_on_full(&Device::k40c(), &g, seed),
-            ),
-            (
-                "Naumov/Color_CC",
-                crate::naumov::cc_on(&Device::k40c(), &g, seed),
-                crate::naumov::cc_on_full(&Device::k40c(), &g, seed),
-            ),
-        ];
-        for (name, compacted, full) in &pairs {
+        for c in all_known_colorers().into_iter().filter(|c| c.is_gpu()) {
+            let compacted = c.run(&g, seed);
+            let full = c.run_full_width(&g, seed);
             prop_assert_eq!(
                 compacted.coloring.as_slice(),
                 full.coloring.as_slice(),
                 "{} compacted coloring diverged from full-width",
-                name
+                c.name()
             );
             prop_assert_eq!(
                 compacted.iterations,
                 full.iterations,
                 "{} compacted iteration count diverged from full-width",
-                name
+                c.name()
             );
         }
     }
@@ -158,8 +116,8 @@ proptest! {
     // schedule, never more colors, still proper.
     #[test]
     fn short_cutting_never_worse_than_round_indexed(g in arb_graph(), seed in 0u64..100) {
-        let gb_sc = crate::gblas_is::run_on_sc(&Device::k40c(), &g, seed);
-        let gb_ri = crate::gblas_is::run_on(&Device::k40c(), &g, seed);
+        let gb_sc = crate::gblas_is::gblas_is_sc(&g, seed);
+        let gb_ri = crate::gblas_is::gblas_is(&g, seed);
         prop_assert!(is_proper(&g, gb_sc.coloring.as_slice()).is_ok());
         prop_assert!(
             gb_sc.num_colors <= gb_ri.num_colors,

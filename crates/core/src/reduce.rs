@@ -40,7 +40,10 @@ use crate::color::count_distinct;
 
 /// Minimum excluded color: the smallest color `>= 1` absent from
 /// `forbidden` (0 entries — uncolored neighbors — are ignored). Sorts
-/// in place; the same routine the gc-shard repair loop hardwires.
+/// in place. Every first-fit rule in the workspace uses it: the
+/// hybrid's and short-cutting colorers' commits, this post-pass, and
+/// gc-shard's conflict repair.
+#[inline]
 pub fn mex(forbidden: &mut [u32]) -> u32 {
     forbidden.sort_unstable();
     let mut c = 1u32;
@@ -237,6 +240,10 @@ mod tests {
         assert_eq!(mex(&mut [1, 2, 3]), 4);
         assert_eq!(mex(&mut [3, 1]), 2);
         assert_eq!(mex(&mut [1, 1, 2, 4]), 3);
+        assert_eq!(mex(&mut [1, 2, 4]), 3);
+        assert_eq!(mex(&mut [1, 1, 2, 2]), 3);
+        assert_eq!(mex(&mut [3, 1, 2]), 4);
+        assert_eq!(mex(&mut [0, 1, 2]), 3, "0 (uncolored) is never assigned");
     }
 
     #[test]

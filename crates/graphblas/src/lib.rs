@@ -43,7 +43,6 @@ pub mod vector;
 
 pub use desc::Descriptor;
 pub use matrix::Matrix;
-pub use ops::ActiveList;
 pub use semiring::{BooleanOrAnd, MaxTimes, MinTimes, PlusTimes, SemiringOps};
 pub use vector::Vector;
 

@@ -2,10 +2,10 @@
 //!
 //! The paper's algorithms shrink their working set every iteration —
 //! colored vertices never participate again — yet the plain dense ops
-//! launch one thread per *row* regardless. An [`ActiveList`] is the
-//! compacted complement: the device-resident list of still-active row
-//! indices, contracted each iteration with the vgpu stream-compaction
-//! primitives. List-restricted ops launch one thread per *surviving*
+//! launch one thread per *row* regardless. A [`Frontier`] (the vgpu
+//! type the Gunrock operators launch over too) is the compacted
+//! complement: the device-resident list of still-active row indices,
+//! contracted each iteration by [`Frontier::contract`]. List-restricted ops launch one thread per *surviving*
 //! row, so per-iteration work tracks the frontier instead of `n`, and
 //! the contraction's output length doubles as the convergence test (no
 //! separate full-width `reduce` needed).
@@ -16,110 +16,11 @@
 //! `Vector` here never flips, so the list lives alongside it and the
 //! `_list` ops below take the role of the sparse iteration.
 
-use gc_vgpu::primitives::{compact_indices_fused, compact_values_fused};
-use gc_vgpu::{Device, DeviceBuffer, Scalar, ThreadCtx};
+use gc_vgpu::{Device, DeviceBuffer, Frontier, Scalar, ThreadCtx};
 
 use crate::matrix::Matrix;
 use crate::semiring::SemiringOps;
 use crate::vector::Vector;
-
-/// A device-resident set of active row indices.
-///
-/// `All(n)` is the implicit full domain `0..n` (free to enumerate, like
-/// a dense GraphBLAS vector's implied index set); `List` is a compacted
-/// ascending index buffer produced by [`ActiveList::contract`].
-pub enum ActiveList {
-    /// Every index in `0..n` is active.
-    All(usize),
-    /// Exactly the listed indices are active (ascending, deduplicated).
-    List(DeviceBuffer<u32>),
-}
-
-impl ActiveList {
-    /// The full domain `0..n`.
-    pub fn all(n: usize) -> Self {
-        ActiveList::All(n)
-    }
-
-    /// Number of active indices (host-known: the compaction that built a
-    /// `List` returns its exact length, which is what fuses convergence
-    /// checks into the contraction).
-    pub fn len(&self) -> usize {
-        match self {
-            ActiveList::All(n) => *n,
-            ActiveList::List(items) => items.len(),
-        }
-    }
-
-    /// Whether no indices remain active.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Metered in-kernel lookup of the `k`-th active index. Enumerating
-    /// `All` is free (the index *is* the thread id); a `List` costs one
-    /// sequential read, exactly like a real frontier-queue load.
-    #[inline]
-    pub fn item(&self, t: &mut ThreadCtx, k: usize) -> usize {
-        match self {
-            ActiveList::All(_) => k,
-            // Thread k reads slot k: coalesced by construction.
-            ActiveList::List(items) => t.read_seq(items, k) as usize,
-        }
-    }
-
-    /// Host snapshot (unmetered; tests).
-    pub fn to_vec(&self) -> Vec<u32> {
-        match self {
-            ActiveList::All(n) => (0..*n as u32).collect(),
-            ActiveList::List(items) => items.to_vec(),
-        }
-    }
-
-    /// Contracts the list to the active indices whose predicate holds,
-    /// through the single-kernel fused vgpu compaction (predicate, scan,
-    /// and scatter in one launch — see
-    /// [`gc_vgpu::primitives::compact_indices_fused`]). The result's
-    /// length is the surviving count — callers use it directly as their
-    /// convergence test instead of a separate full-width reduction
-    /// (bill that consumption with [`ActiveList::read_len`]).
-    ///
-    /// `pred` may be evaluated more than once per element (the fused
-    /// compaction's host rank pre-pass), so it must be deterministic;
-    /// side effects are allowed when idempotent (see
-    /// [`assign_where_compact`]).
-    pub fn contract<P>(&self, dev: &Device, name: &str, pred: P) -> ActiveList
-    where
-        P: Fn(&mut ThreadCtx, u32) -> bool + Sync,
-    {
-        let out = match self {
-            ActiveList::All(n) => compact_indices_fused(dev, name, *n, |t, i| pred(t, i as u32)),
-            ActiveList::List(items) => compact_values_fused(dev, name, items, pred),
-        };
-        ActiveList::List(out)
-    }
-
-    /// Metered host readback of the list's length: the scalar D2H
-    /// transfer a host-side convergence branch consumes, billed like
-    /// the full-width `reduce(+)` it replaces billed its result
-    /// (GraphBLAST's host loop reads `nvals` the same way). Plain
-    /// [`ActiveList::len`] stays unmetered for grid sizing, matching
-    /// the frontier engines' bookkeeping.
-    pub fn read_len(&self, dev: &Device) -> usize {
-        let n = self.len();
-        let _ = dev.download(&DeviceBuffer::from_slice(&[n as u32]));
-        n
-    }
-}
-
-impl std::fmt::Debug for ActiveList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ActiveList::All(n) => write!(f, "ActiveList::All({n})"),
-            ActiveList::List(items) => write!(f, "ActiveList::List(len={})", items.len()),
-        }
-    }
-}
 
 /// List-restricted `vxm`: `w[i] = u ⊕.⊗ A[i]` for every active `i`,
 /// pull-style. Inactive rows are untouched (their `w` entries may be
@@ -130,14 +31,14 @@ pub fn vxm_list<T: Scalar, S: SemiringOps<T>>(
     semiring: &S,
     u: &Vector<T>,
     a: &Matrix,
-    list: &ActiveList,
+    list: &Frontier,
 ) {
     assert_eq!(u.size(), a.nrows(), "u/A dimension mismatch");
     assert_eq!(w.size(), a.nrows(), "w/A dimension mismatch");
     let name = format!("grb::vxm_list({})", semiring.name());
     dev.launch(&name, list.len(), |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         let mut acc = semiring.identity();
         for j in a.cols_seq(t, i) {
             let uv = u.read(t, j as usize);
@@ -165,7 +66,7 @@ pub fn vxm_apply_list<T: Scalar, S: SemiringOps<T>, F>(
     f: F,
     u: &Vector<T>,
     a: &Matrix,
-    list: &ActiveList,
+    list: &Frontier,
 ) where
     F: Fn(T, T) -> T + Sync,
 {
@@ -174,7 +75,7 @@ pub fn vxm_apply_list<T: Scalar, S: SemiringOps<T>, F>(
     let name = format!("grb::vxm_apply_list({})", semiring.name());
     dev.launch(&name, list.len(), |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         let mut acc = semiring.identity();
         for j in a.cols_seq(t, i) {
             let uv = u.read(t, j as usize);
@@ -195,13 +96,13 @@ pub fn ewise_add_list<T: Scalar, F>(
     f: F,
     u: &Vector<T>,
     v: &Vector<T>,
-    list: &ActiveList,
+    list: &Frontier,
 ) where
     F: Fn(T, T) -> T + Sync,
 {
     dev.launch("grb::ewise_add_list", list.len(), |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         let a = u.read(t, i);
         let b = v.read(t, i);
         w.write(t, i, f(a, b));
@@ -209,13 +110,13 @@ pub fn ewise_add_list<T: Scalar, F>(
 }
 
 /// List-restricted `apply`: `w[i] = f(u[i])` for active `i`.
-pub fn apply_list<T: Scalar, F>(dev: &Device, w: &Vector<T>, f: F, u: &Vector<T>, list: &ActiveList)
+pub fn apply_list<T: Scalar, F>(dev: &Device, w: &Vector<T>, f: F, u: &Vector<T>, list: &Frontier)
 where
     F: Fn(T) -> T + Sync,
 {
     dev.launch("grb::apply_list", list.len(), |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         let v = u.read(t, i);
         w.write(t, i, f(v));
     });
@@ -223,10 +124,10 @@ where
 
 /// List-restricted scalar `assign`: `w[i] = value` for every active `i`
 /// (unconditional — the list itself is the mask).
-pub fn assign_scalar_list<T: Scalar>(dev: &Device, w: &Vector<T>, value: T, list: &ActiveList) {
+pub fn assign_scalar_list<T: Scalar>(dev: &Device, w: &Vector<T>, value: T, list: &Frontier) {
     dev.launch("grb::assign_list", list.len(), |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         w.write(t, i, value);
     });
 }
@@ -239,11 +140,11 @@ pub fn assign_scalar_where<T: Scalar>(
     w: &Vector<T>,
     cond: &Vector<T>,
     value: T,
-    list: &ActiveList,
+    list: &Frontier,
 ) {
     dev.launch("grb::assign_where", list.len(), |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         if cond.truthy(t, i) {
             w.write(t, i, value);
         }
@@ -268,8 +169,8 @@ pub fn assign_where_compact<T: Scalar>(
     name: &str,
     cond: &Vector<T>,
     assigns: &[(&Vector<T>, T)],
-    list: &ActiveList,
-) -> ActiveList {
+    list: &Frontier,
+) -> Frontier {
     list.contract(dev, name, |t, i| {
         if cond.truthy(t, i as usize) {
             for (w, value) in assigns {
@@ -306,8 +207,8 @@ pub fn apply_where_compact<T: Scalar, F>(
     target: &Vector<T>,
     f: F,
     kills: &[(&Vector<T>, T)],
-    list: &ActiveList,
-) -> ActiveList
+    list: &Frontier,
+) -> Frontier
 where
     F: Fn(&mut ThreadCtx, usize) -> T + Sync,
 {
@@ -334,7 +235,7 @@ pub fn reduce_list<T: Scalar, F>(
     identity: T,
     op: F,
     u: &Vector<T>,
-    list: &ActiveList,
+    list: &Frontier,
 ) -> T
 where
     F: Fn(T, T) -> T + Sync,
@@ -343,7 +244,7 @@ where
     let partials: Vec<<T as Scalar>::Atomic> = (0..m).map(|_| T::new_cell(identity)).collect();
     dev.launch("grb::reduce_list", m, |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         let v = u.read(t, i);
         t.charge(1); // the tree-combine step
         T::store(&partials[k], v);
@@ -365,12 +266,12 @@ pub fn scatter_adj<T: Scalar>(
     via: &Vector<i64>,
     value: T,
     a: &Matrix,
-    list: &ActiveList,
+    list: &Frontier,
 ) {
     let cap = target.size();
     dev.launch("grb::scatter_adj", list.len(), |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         for j in a.cols_seq(t, i) {
             let x = via.read(t, j as usize);
             if x > 0 && (x as usize) < cap {
@@ -385,10 +286,10 @@ pub fn scatter_adj<T: Scalar>(
 /// to an active `i`. The push replacement for the "mark the frontier's
 /// neighbors with a Boolean `vxm`, then masked-assign" pair — one kernel
 /// over the frontier's edges instead of two full-width passes.
-pub fn assign_adj<T: Scalar>(dev: &Device, w: &Vector<T>, value: T, a: &Matrix, list: &ActiveList) {
+pub fn assign_adj<T: Scalar>(dev: &Device, w: &Vector<T>, value: T, a: &Matrix, list: &Frontier) {
     dev.launch("grb::assign_adj", list.len(), |t| {
         let k = t.tid();
-        let i = list.item(t, k);
+        let i = list.item(t, k) as usize;
         for j in a.cols_seq(t, i) {
             w.write(t, j as usize, value);
             t.charge(1);
@@ -407,13 +308,13 @@ mod tests {
         Device::new(DeviceConfig::test_tiny())
     }
 
-    fn list_of(items: &[u32]) -> ActiveList {
-        ActiveList::List(DeviceBuffer::from_slice(items))
+    fn list_of(items: &[u32]) -> Frontier {
+        Frontier::Sparse(DeviceBuffer::from_slice(items))
     }
 
     #[test]
     fn all_enumerates_domain() {
-        let l = ActiveList::all(4);
+        let l = Frontier::all(4);
         assert_eq!(l.len(), 4);
         assert!(!l.is_empty());
         assert_eq!(l.to_vec(), vec![0, 1, 2, 3]);
@@ -423,7 +324,7 @@ mod tests {
     fn contract_all_keeps_matching_indices() {
         let d = dev();
         let v = Vector::from_host(&d, &[3i64, 0, 7, 0, 1]);
-        let l = ActiveList::all(5).contract(&d, "keep_nz", |t, i| v.truthy(t, i as usize));
+        let l = Frontier::all(5).contract(&d, "keep_nz", |t, i| v.truthy(t, i as usize));
         assert_eq!(l.to_vec(), vec![0, 2, 4]);
         assert_eq!(l.len(), 3);
     }
@@ -472,7 +373,7 @@ mod tests {
             &a,
             crate::desc::Descriptor::null(),
         );
-        vxm_list(&d, &listed, &MaxTimes, &u, &a, &ActiveList::all(5));
+        vxm_list(&d, &listed, &MaxTimes, &u, &a, &Frontier::all(5));
         assert_eq!(full.to_vec(), listed.to_vec());
     }
 
@@ -513,7 +414,7 @@ mod tests {
         let u = Vector::from_host(&d, &[5i64, 1, 9, 2]);
         // Prefix reduce via All(limit): only the first 3 entries.
         assert_eq!(
-            reduce_list(&d, i64::MAX, i64::min, &u, &ActiveList::all(3)),
+            reduce_list(&d, i64::MAX, i64::min, &u, &Frontier::all(3)),
             1
         );
         assert_eq!(
@@ -568,7 +469,7 @@ mod tests {
         let a = Matrix::from_graph(&d, &star(5));
         let u = Vector::from_host(&d, &[3i64, 1, 4, 1, 5]);
         let plain = Vector::<i64>::new(5);
-        vxm_list(&d, &plain, &MaxTimes, &u, &a, &ActiveList::all(5));
+        vxm_list(&d, &plain, &MaxTimes, &u, &a, &Frontier::all(5));
         let fused = Vector::<i64>::new(5);
         vxm_apply_list(
             &d,
@@ -577,7 +478,7 @@ mod tests {
             |_, acc| acc,
             &u,
             &a,
-            &ActiveList::all(5),
+            &Frontier::all(5),
         );
         assert_eq!(fused.to_vec(), plain.to_vec());
     }

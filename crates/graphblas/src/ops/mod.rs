@@ -12,7 +12,6 @@ mod vxm;
 pub use active::{
     apply_list, apply_where_compact, assign_adj, assign_scalar_list, assign_scalar_where,
     assign_where_compact, ewise_add_list, reduce_list, scatter_adj, vxm_apply_list, vxm_list,
-    ActiveList,
 };
 pub use apply::{apply, apply_indexed};
 pub use assign::assign_scalar;

@@ -3,13 +3,13 @@
 use proptest::prelude::*;
 
 use gc_graph::GraphBuilder;
-use gc_vgpu::{Device, DeviceConfig};
+use gc_vgpu::{Device, DeviceConfig, Frontier};
 
 use crate::desc::Descriptor;
 use crate::matrix::Matrix;
 use crate::ops::{
     apply_list, assign_scalar_where, assign_where_compact, ewise_add, ewise_add_list, ewise_mult,
-    reduce, vxm, vxm_apply_list, vxm_list, ActiveList,
+    reduce, vxm, vxm_apply_list, vxm_list,
 };
 use crate::semiring::{BooleanOrAnd, MaxTimes, PlusTimes, SemiringOps};
 use crate::vector::Vector;
@@ -121,7 +121,7 @@ proptest! {
         let a = Matrix::from_graph(&d, &g);
         let u = Vector::from_host(&d, &vals);
         let actives: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
-        let list = ActiveList::List(gc_vgpu::DeviceBuffer::from_slice(&actives));
+        let list = Frontier::from_vec(actives);
         let tmp = Vector::<i64>::new(n);
         let composed = Vector::from_host(&d, &vec![-9i64; n]);
         vxm_list(&d, &tmp, &MaxTimes, &u, &a, &list);
@@ -139,7 +139,7 @@ proptest! {
         let d = dev();
         let a = Matrix::from_graph(&d, &g);
         let u = Vector::from_host(&d, &vals);
-        let list = ActiveList::all(n);
+        let list = Frontier::all(n);
         let tmp = Vector::<i64>::new(n);
         let composed = Vector::<i64>::new(n);
         vxm_list(&d, &tmp, &PlusTimes, &u, &a, &list);
@@ -161,7 +161,7 @@ proptest! {
         let cond_vals: Vec<i64> = flags.iter().map(|&b| b as i64).collect();
         let cond = Vector::from_host(&d, &cond_vals);
         let actives: Vec<u32> = (0..n as u32).filter(|i| (*i as usize).is_multiple_of(keep_every)).collect();
-        let list = ActiveList::List(gc_vgpu::DeviceBuffer::from_slice(&actives));
+        let list = Frontier::from_vec(actives);
         let w_old = Vector::<i64>::new(n);
         let z_old = Vector::from_host(&d, &vec![5i64; n]);
         assign_scalar_where(&d, &w_old, &cond, 7, &list);

@@ -8,18 +8,22 @@
 //!   per frontier item; *not* load balanced, which is exactly why the
 //!   paper's IS implementation wins on low-degree meshes and loses on
 //!   `af_shell3`);
-//! * [`ops::filter`] — frontier contraction by predicate;
+//! * filter — frontier contraction by predicate, which is
+//!   [`gc_vgpu::Frontier::contract`] on the frontier type both
+//!   frameworks share;
 //! * [`ops::advance`] — load-balanced neighbor expansion (degree scan +
 //!   per-edge gather);
 //! * [`ops::neighbor_reduce`] — advance plus a segmented reduction over
 //!   each neighbor list.
 //!
-//! The [`enactor::Enactor`] drives the iteration loop, billing the
-//! per-iteration global synchronization the paper repeatedly refers to.
+//! The bulk-synchronous loop that drives these operators — one
+//! round, one contraction, one global synchronization, repeat until the
+//! frontier empties — is `gc_core::rounds`, shared by every frontier
+//! colorer.
 //!
 //! ```
-//! use gc_gunrock::{ops, Frontier};
-//! use gc_vgpu::{Device, DeviceBuffer};
+//! use gc_gunrock::ops;
+//! use gc_vgpu::{Device, DeviceBuffer, Frontier};
 //!
 //! let dev = Device::k40c();
 //! let out = DeviceBuffer::<u32>::zeroed(8);
@@ -27,16 +31,12 @@
 //! ops::compute(&dev, "square", &frontier, |t, v| {
 //!     t.write(&out, v as usize, v * v);
 //! });
-//! let evens = ops::filter(&dev, "evens", &frontier, |_, v| v % 2 == 0);
+//! let evens = frontier.contract(&dev, "evens", |_, v| v % 2 == 0);
 //! assert_eq!(evens.to_vec(), vec![0, 2, 4, 6]);
 //! assert_eq!(dev.download(&out)[3], 9);
 //! ```
 
 pub mod dcsr;
-pub mod enactor;
-pub mod frontier;
 pub mod ops;
 
 pub use dcsr::DeviceCsr;
-pub use enactor::Enactor;
-pub use frontier::Frontier;

@@ -1,12 +1,10 @@
-//! Gunrock operators: compute, filter, advance, neighbor-reduce.
+//! Gunrock operators: compute, advance, neighbor-reduce. (Gunrock's
+//! filter is [`Frontier::contract`].)
 
-use gc_vgpu::primitives::{
-    compact_indices_fused, compact_values_fused, exclusive_scan, segmented_reduce,
-};
-use gc_vgpu::{Device, DeviceBuffer, Scalar, ThreadCtx};
+use gc_vgpu::primitives::{exclusive_scan, segmented_reduce};
+use gc_vgpu::{Device, DeviceBuffer, Frontier, Scalar, ThreadCtx};
 
 use crate::dcsr::DeviceCsr;
-use crate::frontier::Frontier;
 
 /// Compute operator: applies `f` to every frontier item, one simulated
 /// thread per item.
@@ -18,8 +16,8 @@ use crate::frontier::Frontier;
 ///
 /// ```
 /// use gc_graph::generators::star;
-/// use gc_gunrock::{ops, DeviceCsr, Frontier};
-/// use gc_vgpu::{Device, DeviceBuffer};
+/// use gc_gunrock::{ops, DeviceCsr};
+/// use gc_vgpu::{Device, DeviceBuffer, Frontier};
 ///
 /// let dev = Device::k40c();
 /// let csr = DeviceCsr::upload(&dev, &star(5));
@@ -39,28 +37,6 @@ where
         let v = frontier.item(t, i);
         f(t, v);
     });
-}
-
-/// Filter operator: keeps the frontier items satisfying `pred`.
-///
-/// Lowered onto the single-kernel fused compaction primitives
-/// ([`gc_vgpu::primitives::compact_indices_fused`]): predicate, scan,
-/// and scatter run in one launch instead of the classic predicate +
-/// scan + scatter chain — and the surviving count is the output length,
-/// letting iterative colorers fuse their convergence check into the
-/// contraction. The predicate may be evaluated more than once per item
-/// (the fused compaction's host rank pre-pass), so it must be
-/// deterministic.
-pub fn filter<F>(dev: &Device, name: &str, frontier: &Frontier, pred: F) -> Frontier
-where
-    F: Fn(&mut ThreadCtx, u32) -> bool + Sync,
-{
-    match frontier {
-        Frontier::All(n) => Frontier::Sparse(compact_indices_fused(dev, name, *n, |t, i| {
-            pred(t, i as u32)
-        })),
-        Frontier::Sparse(items) => Frontier::Sparse(compact_values_fused(dev, name, items, pred)),
-    }
 }
 
 /// Result of a load-balanced advance.
@@ -278,7 +254,7 @@ mod tests {
     fn filter_keeps_matching() {
         let d = dev();
         let f = Frontier::all(10);
-        let evens = filter(&d, "evens", &f, |_, v| v % 2 == 0);
+        let evens = f.contract(&d, "evens", |_, v| v % 2 == 0);
         assert_eq!(evens.to_vec(), vec![0, 2, 4, 6, 8]);
     }
 
@@ -286,7 +262,7 @@ mod tests {
     fn filter_empty_result() {
         let d = dev();
         let f = Frontier::all(5);
-        let none = filter(&d, "none", &f, |_, _| false);
+        let none = f.contract(&d, "none", |_, _| false);
         assert!(none.is_empty());
     }
 

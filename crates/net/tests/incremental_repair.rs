@@ -2,7 +2,10 @@
 //! the stored coloring through `MutateEdges` must cost at least
 //! [`MIN_INCREMENTAL_SPEEDUP`]× fewer simulated thread executions than
 //! coloring the graph from scratch, keep the coloring proper, and carry
-//! the cached result across the mutation.
+//! the cached result across the mutation. Two tighter bounds pin the
+//! repair's work to the delta itself: the frontier holds at most the
+//! two endpoints of each changed edge, and every detect or recolor
+//! launch scans at most the frontier.
 
 use gc_core::verify::is_proper;
 use gc_graph::{apply_edge_delta, Csr, EdgeDelta};
@@ -85,6 +88,24 @@ fn ecology2_repair_after_a_one_percent_delta_is_five_times_cheaper_than_a_full_r
         ack.repair_rounds,
         full.colorer,
         full.thread_executions
+    );
+    // Each changed edge touches at most its two endpoints.
+    assert!(
+        ack.frontier as usize <= 2 * delta_edges,
+        "repair frontier of {} vertices exceeds the {} endpoints of {delta_edges} changed edges",
+        ack.frontier,
+        2 * delta_edges
+    );
+    // `repair_frontier` runs one detect launch per round plus the final
+    // clean one, and one recolor launch per conflict round; each scans a
+    // subset of the frontier.
+    let per_launch = u64::from(ack.frontier);
+    let launches = 2 * (u64::from(ack.repair_rounds) + 1);
+    assert!(
+        ack.repair_thread_executions <= per_launch * launches,
+        "repair ran {} thread executions, more than {launches} launches over a \
+         frontier of {per_launch}",
+        ack.repair_thread_executions
     );
     assert!(ack.revalidated, "the cached entry was not revalidated");
 

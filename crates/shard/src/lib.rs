@@ -72,6 +72,7 @@
 //! ```
 
 use gc_core::color::ColoringResult;
+use gc_core::reduce::mex;
 use gc_core::runner::Colorer;
 use gc_core::verify::is_proper;
 use gc_graph::{Csr, Partition, PartitionStrategy, VertexId};
@@ -1144,7 +1145,7 @@ fn resolve_conflicts(
                                 let packed = t.read(halo_idx, e);
                                 forbidden.push(t.read(halo, (packed & !LARGER_BIT) as usize));
                             }
-                            t.write(staged, b, repair::mex(&mut forbidden));
+                            t.write(staged, b, mex(&mut forbidden));
                         });
                 }
             } else {
@@ -1190,7 +1191,7 @@ fn resolve_conflicts(
                             let packed = t.read(halo_idx, e);
                             forbidden.push(t.read(halo, (packed & !LARGER_BIT) as usize));
                         }
-                        t.write(staged, b, repair::mex(&mut forbidden));
+                        t.write(staged, b, mex(&mut forbidden));
                     }
                 });
 

@@ -15,10 +15,13 @@
 //!   that are locally maximal among losers — an independent set, so a
 //!   round never creates a new conflict and the globally largest loser
 //!   always acts, which makes the conflict count strictly decrease.
-//! * [`mex`] / [`greedy_repair_host`] — the smallest-free-color rule and
-//!   the deterministic host-side fallback shared by this loop and the
-//!   multi-device resolver in [`crate::run_sharded`] (used only if the
-//!   round cap is ever hit).
+//! * [`greedy_repair_host`] — the deterministic host-side fallback
+//!   shared by this loop and the multi-device resolver in
+//!   [`crate::run_sharded`] (used only if the round cap is ever hit).
+//!
+//! Every recolor takes the smallest free color of its neighborhood,
+//! [`gc_core::reduce::mex`]: recoloring a vertex to the mex of its
+//! neighborhood can never create a new conflict.
 //!
 //! The frontier contract: **both** endpoints of every possibly-improper
 //! edge must be in the frontier. Edge inserts satisfy this by
@@ -40,6 +43,7 @@
 //! assert!(is_proper(&g, &colors).is_ok());
 //! ```
 
+use gc_core::reduce::mex;
 use gc_graph::{Csr, VertexId};
 use gc_vgpu::{Device, DeviceBuffer};
 
@@ -57,22 +61,6 @@ pub struct RepairOutcome {
     /// deterministic host-side [`greedy_repair_host`] pass fixed the
     /// remainder and the coloring is still proper.
     pub clean: bool,
-}
-
-/// Smallest positive color absent from `forbidden` (which is sorted in
-/// place). The "mex" rule every repair path uses: recoloring a vertex to
-/// the mex of its neighborhood can never create a new conflict.
-pub fn mex(forbidden: &mut [u32]) -> u32 {
-    forbidden.sort_unstable();
-    let mut c = 1u32;
-    for &f in forbidden.iter() {
-        if f == c {
-            c += 1;
-        } else if f > c {
-            break;
-        }
-    }
-    c
 }
 
 /// Deterministic host-side repair: one ascending sweep recoloring any
@@ -226,16 +214,6 @@ mod tests {
     use gc_core::verify::is_proper;
     use gc_graph::generators::erdos_renyi;
     use gc_graph::{apply_edge_delta, EdgeDelta, GraphBuilder};
-
-    #[test]
-    fn mex_takes_smallest_free_color() {
-        assert_eq!(mex(&mut []), 1);
-        assert_eq!(mex(&mut [2, 3]), 1);
-        assert_eq!(mex(&mut [1, 2, 4]), 3);
-        assert_eq!(mex(&mut [1, 1, 2, 2]), 3);
-        assert_eq!(mex(&mut [3, 1, 2]), 4);
-        assert_eq!(mex(&mut [0, 1, 2]), 3, "0 (uncolored) is never assigned");
-    }
 
     #[test]
     fn greedy_repair_host_fixes_any_coloring() {

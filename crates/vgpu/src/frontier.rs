@@ -1,16 +1,19 @@
-//! Vertex frontiers.
+//! Vertex frontiers: the active set every iterative kernel launches over.
 
-use gc_vgpu::{Device, DeviceBuffer, ThreadCtx};
+use crate::primitives::{compact_indices_fused, compact_values_fused};
+use crate::{Device, DeviceBuffer, ThreadCtx};
 
-/// A set of active vertices.
+/// A device-resident set of active vertex (row) indices.
 ///
-/// `All` is the dense identity frontier (every vertex active) that the
-/// coloring primitives start from; `Sparse` is an explicit device-side
-/// list produced by [`crate::ops::filter`] or [`crate::ops::advance`].
+/// `All(n)` is the dense identity frontier `0..n` (free to enumerate:
+/// the index *is* the thread id); `Sparse` is an explicit ascending list
+/// produced by [`Frontier::contract`]. Both graph frameworks launch
+/// their frontier-restricted kernels over one of these, and the
+/// colorers' round loop contracts it every round.
 pub enum Frontier {
     /// All vertices `0..n` are active.
     All(usize),
-    /// An explicit active list.
+    /// Exactly the listed vertices are active (ascending, deduplicated).
     Sparse(DeviceBuffer<u32>),
 }
 
@@ -30,7 +33,9 @@ impl Frontier {
         Frontier::Sparse(dev.upload(items))
     }
 
-    /// Number of active items.
+    /// Number of active items (host-known: the compaction that built a
+    /// `Sparse` frontier returns its exact length, which is what fuses
+    /// convergence checks into the contraction).
     pub fn len(&self) -> usize {
         match self {
             Frontier::All(n) => *n,
@@ -64,12 +69,44 @@ impl Frontier {
         }
     }
 
-    /// Host-side snapshot of the active list.
+    /// Host-side snapshot of the active list (unmetered; tests).
     pub fn to_vec(&self) -> Vec<u32> {
         match self {
             Frontier::All(n) => (0..*n as u32).collect(),
             Frontier::Sparse(b) => b.to_vec(),
         }
+    }
+
+    /// Contracts the frontier to the items whose predicate holds,
+    /// through the single-kernel fused compaction (predicate, scan and
+    /// scatter in one launch — see
+    /// [`crate::primitives::compact_indices_fused`]). The result's
+    /// length is the surviving count, so callers use it directly as
+    /// their convergence test instead of a separate full-width count
+    /// (bill that consumption with [`Frontier::read_len`]).
+    ///
+    /// `pred` may be evaluated more than once per item (the fused
+    /// compaction's host rank pre-pass), so it must be deterministic;
+    /// side effects are allowed when idempotent.
+    pub fn contract<P>(&self, dev: &Device, name: &str, pred: P) -> Frontier
+    where
+        P: Fn(&mut ThreadCtx, u32) -> bool + Sync,
+    {
+        Frontier::Sparse(match self {
+            Frontier::All(n) => compact_indices_fused(dev, name, *n, |t, i| pred(t, i as u32)),
+            Frontier::Sparse(items) => compact_values_fused(dev, name, items, pred),
+        })
+    }
+
+    /// Metered host readback of the frontier's length: the scalar D2H
+    /// transfer a host-side convergence branch consumes, billed like
+    /// the full-width `reduce(+)` it replaces billed its result
+    /// (GraphBLAST's host loop reads `nvals` the same way). Plain
+    /// [`Frontier::len`] stays unmetered for grid sizing.
+    pub fn read_len(&self, dev: &Device) -> usize {
+        let n = self.len();
+        let _ = dev.download(&DeviceBuffer::from_slice(&[n as u32]));
+        n
     }
 }
 
@@ -85,7 +122,7 @@ impl std::fmt::Debug for Frontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_vgpu::DeviceConfig;
+    use crate::DeviceConfig;
 
     #[test]
     fn all_frontier_identity() {

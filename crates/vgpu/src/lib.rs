@@ -46,6 +46,7 @@ pub mod buffer;
 pub mod config;
 pub mod cost;
 pub mod device;
+pub mod frontier;
 pub mod pool;
 pub mod primitives;
 pub mod profiler;
@@ -56,6 +57,7 @@ pub mod thread;
 pub use buffer::{DeviceBuffer, SeqRun};
 pub use config::DeviceConfig;
 pub use device::{Device, LaunchGraph, TransferEvent};
+pub use frontier::Frontier;
 pub use profiler::{KernelRecord, ProfileReport};
 pub use scalar::Scalar;
 pub use thread::ThreadCtx;

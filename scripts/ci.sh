@@ -73,14 +73,26 @@ cargo run --release -q -p gc-bench --bin repro -- \
   bench --scale 0.002 --devices 8 --out "$trace_dir/bench8.json"
 cargo run --release -q -p gc-bench --bin repro -- \
   bench-check "$trace_dir/bench8.json"
-# --quality exercises the pareto sweep (hybrid JP, short-cutting IS,
-# +reduce post-pass arms): every point must verify and the reduce arms
-# must never add colors. The color/work gates themselves bind only at
-# the committed 0.2-scale artifact — smoke rows sit below the floor.
+
+echo "==> bench reproduction: repro bench --devices 4,8 --quality matches BENCH_coloring.json"
+# The committed artifact must reproduce from the source: a change that
+# moves a model number without regenerating the file fails here. Only
+# host wall time may differ. --quality also exercises the pareto sweep
+# (hybrid JP, short-cutting IS, +reduce post-pass arms), whose gates
+# bench-check enforces on the committed file below.
 cargo run --release -q -p gc-bench --bin repro -- \
-  bench --scale 0.002 --quality --out "$trace_dir/bench_quality.json"
+  bench --devices 4,8 --quality --out "$trace_dir/bench_full.json"
+strip_wall() { sed -E 's/"wall_ms": [0-9.]+/"wall_ms": _/g' "$1"; }
+diff <(strip_wall BENCH_coloring.json) <(strip_wall "$trace_dir/bench_full.json")
+
+echo "==> exhibit reproduction: repro all --scale 0.02 matches repro_output.txt and results/"
+# EXPERIMENTS.md quotes these files; they must be what the code prints.
 cargo run --release -q -p gc-bench --bin repro -- \
-  bench-check "$trace_dir/bench_quality.json"
+  all --scale 0.02 --csv "$trace_dir/results" > "$trace_dir/repro_output.txt"
+diff <(grep -v '^CSV written to' repro_output.txt) \
+  <(grep -v '^CSV written to' "$trace_dir/repro_output.txt")
+cmp results/fig1.csv "$trace_dir/results/fig1.csv"
+cmp results/fig3.csv "$trace_dir/results/fig3.csv"
 
 echo "==> scale-sweep smoke: one sweep step + bench-check validation"
 # Scale 15 only for CI speed; the committed artifact is the 15..24 run.

@@ -53,14 +53,7 @@ fn device_profile_explains_framework_gap() {
     // inside one replayed launch graph, erasing exactly this gap).
     use gc_vgpu::Device;
     let g = grid2d(16, 16, Stencil2d::FivePoint);
-    let gr = gunrock_is(
-        &g,
-        2,
-        IsConfig {
-            compact_frontier: false,
-            ..IsConfig::min_max()
-        },
-    );
+    let gr = gc_core::gunrock_is::run_on_full(&Device::k40c(), &g, 2, IsConfig::min_max());
     let gb = gc_core::gblas_is::run_on_full(&Device::k40c(), &g, 2);
     let gr_per_iter = gr.kernel_launches as f64 / gr.iterations as f64;
     let gb_per_iter = gb.kernel_launches as f64 / gb.iterations as f64;

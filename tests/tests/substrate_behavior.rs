@@ -82,7 +82,7 @@ fn mtx_roundtrip_through_every_colorer() {
 fn profiler_accounts_for_every_launch() {
     let dev = Device::new(DeviceConfig::test_tiny());
     let g = erdos_renyi(200, 0.03, 2);
-    let r = gc_core::gblas_is::run_on(&dev, &g, 4);
+    let r = gc_core::gblas_is::run_on(&dev, &g, 4, false);
     let profile = dev.profile();
     assert_eq!(profile.launches, r.kernel_launches);
     // The sum of per-kernel cycles can't exceed the clock (syncs and
