@@ -215,6 +215,17 @@ mod tests {
     use gc_graph::generators::erdos_renyi;
     use gc_graph::{apply_edge_delta, EdgeDelta, GraphBuilder};
 
+    /// The recolor rule the repair loop and the host fallback apply.
+    #[test]
+    fn mex_takes_smallest_free_color() {
+        assert_eq!(mex(&mut []), 1);
+        assert_eq!(mex(&mut [2, 3]), 1);
+        assert_eq!(mex(&mut [1, 2, 4]), 3);
+        assert_eq!(mex(&mut [1, 1, 2, 2]), 3);
+        assert_eq!(mex(&mut [3, 1, 2]), 4);
+        assert_eq!(mex(&mut [0, 1, 2]), 3, "0 (uncolored) is never assigned");
+    }
+
     #[test]
     fn greedy_repair_host_fixes_any_coloring() {
         let g = erdos_renyi(50, 0.1, 9);
