@@ -596,13 +596,18 @@ fn main() -> ExitCode {
         };
     }
 
+    // Figure 3 is the scale sweep's two IS colorers over `--rgg`.
     let fig3_data = if want("fig3") {
-        Some(experiments::fig3(&cfg))
+        Some(gc_bench::scale_sweep::scale_sweep(
+            cfg.rgg_min,
+            cfg.rgg_max,
+            cfg.seed,
+        ))
     } else {
         None
     };
-    if let Some(rows) = &fig3_data {
-        println!("{}", format::render_fig3(rows));
+    if let Some(report) = &fig3_data {
+        println!("{}", format::render_fig3(report));
     }
 
     if let Some(dir) = &args.csv_dir {
@@ -610,8 +615,8 @@ fn main() -> ExitCode {
         if let Some(data) = &fig1_data {
             csvs.push(("fig1.csv", format::fig1_csv(data)));
         }
-        if let Some(rows) = &fig3_data {
-            csvs.push(("fig3.csv", format::fig3_csv(rows)));
+        if let Some(report) = &fig3_data {
+            csvs.push(("fig3.csv", format::fig3_csv(report)));
         }
         if let Err(e) = write_csvs(dir, &csvs) {
             eprintln!("error: {e}");

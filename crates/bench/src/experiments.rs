@@ -3,7 +3,6 @@
 use gc_core::runner::{all_colorers, table2_variants};
 use gc_core::ColoringResult;
 use gc_datasets::{table1_real_world, DatasetSpec, DEFAULT_SCALE};
-use gc_graph::generators::rgg_scale;
 use gc_graph::stats::GraphStats;
 use gc_graph::Csr;
 
@@ -14,7 +13,7 @@ pub struct ExperimentConfig {
     pub scale: f64,
     /// RNG seed for synthesis and coloring.
     pub seed: u64,
-    /// Inclusive RGG scale range for the Figure 3 sweep.
+    /// Inclusive RGG scale range of the Figure 3 scale sweep.
     pub rgg_min: u32,
     pub rgg_max: u32,
     /// BFS sources for the Table I diameter estimate (the paper used
@@ -266,47 +265,6 @@ pub fn fig2(data: &[Fig1Dataset]) -> Vec<Fig2Point> {
 }
 
 // ---------------------------------------------------------------------
-// Figure 3 (RGG scaling)
-// ---------------------------------------------------------------------
-
-/// One RGG scale's measurements for the two IS implementations.
-#[derive(Clone, Debug)]
-pub struct Fig3Row {
-    pub scale: u32,
-    pub vertices: usize,
-    pub edges: usize,
-    pub gunrock_ms: f64,
-    pub gunrock_colors: u32,
-    pub graphblast_ms: f64,
-    pub graphblast_colors: u32,
-}
-
-/// Runs the Figure 3 RGG sweep: Gunrock IS vs GraphBLAST IS across
-/// scales (runtime vs n/m, colors vs n/m).
-pub fn fig3(cfg: &ExperimentConfig) -> Vec<Fig3Row> {
-    (cfg.rgg_min..=cfg.rgg_max)
-        .map(|s| {
-            let g = rgg_scale(s, cfg.seed);
-            let gr = gc_core::gunrock_is::gunrock_is(
-                &g,
-                cfg.seed,
-                gc_core::gunrock_is::IsConfig::min_max(),
-            );
-            let gb = gc_core::gblas_is::gblas_is(&g, cfg.seed);
-            Fig3Row {
-                scale: s,
-                vertices: g.num_vertices(),
-                edges: g.num_edges(),
-                gunrock_ms: gr.model_ms,
-                gunrock_colors: gr.num_colors,
-                graphblast_ms: gb.model_ms,
-                graphblast_colors: gb.num_colors,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // Ablations (design-choice studies beyond the paper's exhibits)
 // ---------------------------------------------------------------------
 
@@ -331,14 +289,7 @@ pub fn ablation_hash_size(cfg: &ExperimentConfig) -> Vec<HashSizeRow> {
     [1usize, 2, 4, 8, 16, 32]
         .into_iter()
         .map(|hash_size| {
-            let r = gunrock_hash(
-                &g,
-                cfg.seed,
-                HashConfig {
-                    hash_size,
-                    ..Default::default()
-                },
-            );
+            let r = gunrock_hash(&g, cfg.seed, HashConfig { hash_size });
             HashSizeRow {
                 hash_size,
                 model_ms: r.model_ms,
@@ -642,12 +593,16 @@ mod tests {
 
     #[test]
     fn fig3_scales_monotonically() {
+        // Figure 3 is the scale sweep's two IS colorers over the
+        // configured RGG range.
         let cfg = ExperimentConfig::smoke();
-        let rows = fig3(&cfg);
-        assert_eq!(rows.len(), 3);
-        assert!(rows[2].vertices > rows[0].vertices);
-        assert!(rows[2].gunrock_ms > rows[0].gunrock_ms);
-        assert!(rows[2].graphblast_ms > rows[0].graphblast_ms);
+        let sweep = crate::scale_sweep::scale_sweep(cfg.rgg_min, cfg.rgg_max, cfg.seed);
+        for colorer in ["Gunrock/Color_IS", "GraphBLAST/Color_IS"] {
+            let rows: Vec<_> = sweep.rows.iter().filter(|r| r.colorer == colorer).collect();
+            assert_eq!(rows.len(), 3);
+            assert!(rows[2].vertices > rows[0].vertices);
+            assert!(rows[2].model_ms > rows[0].model_ms, "{colorer}");
+        }
     }
 
     #[test]

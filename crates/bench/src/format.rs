@@ -1,8 +1,9 @@
 //! Plain-text table rendering for the `repro` harness.
 
 use crate::experiments::{
-    geomean_color_ratio, geomean_speedup, Fig1Dataset, Fig2Point, Fig3Row, Table1Row, Table2Row,
+    geomean_color_ratio, geomean_speedup, Fig1Dataset, Fig2Point, Table1Row, Table2Row,
 };
+use crate::scale_sweep::{ScaleReport, ScaleRow};
 
 fn hr(width: usize) -> String {
     "-".repeat(width)
@@ -154,8 +155,16 @@ pub fn render_fig2(points: &[Fig2Point]) -> String {
     out
 }
 
-/// Renders the Figure 3 sweep (runtime and colors vs n and m).
-pub fn render_fig3(rows: &[Fig3Row]) -> String {
+/// The Figure 3 pairs of a scale sweep: per scale, the Gunrock and the
+/// GraphBLAST IS rows (the sweep keeps each colorer's rows in ascending
+/// scale order).
+fn fig3_pairs(report: &ScaleReport) -> impl Iterator<Item = (&ScaleRow, &ScaleRow)> {
+    let rows = |name| report.rows.iter().filter(move |r| r.colorer == name);
+    rows("Gunrock/Color_IS").zip(rows("GraphBLAST/Color_IS"))
+}
+
+/// Renders Figure 3 (runtime and colors vs n and m) from a scale sweep.
+pub fn render_fig3(report: &ScaleReport) -> String {
     let mut out = String::new();
     out.push_str("FIGURE 3: RGG scaling (Gunrock/Color_IS vs GraphBLAST/Color_IS)\n");
     out.push_str(&format!(
@@ -164,16 +173,10 @@ pub fn render_fig3(rows: &[Fig3Row]) -> String {
     ));
     out.push_str(&hr(80));
     out.push('\n');
-    for r in rows {
+    for (gr, gb) in fig3_pairs(report) {
         out.push_str(&format!(
             "{:<7}{:>12}{:>13}{:>14.3}{:>14.3}{:>10}{:>10}\n",
-            r.scale,
-            r.vertices,
-            r.edges,
-            r.gunrock_ms,
-            r.graphblast_ms,
-            r.gunrock_colors,
-            r.graphblast_colors
+            gr.scale, gr.vertices, gr.edges, gr.model_ms, gb.model_ms, gr.colors, gb.colors
         ));
     }
     out
@@ -193,21 +196,15 @@ pub fn fig1_csv(data: &[Fig1Dataset]) -> String {
     out
 }
 
-/// CSV for Figure 3.
-pub fn fig3_csv(rows: &[Fig3Row]) -> String {
+/// CSV for Figure 3, from a scale sweep.
+pub fn fig3_csv(report: &ScaleReport) -> String {
     let mut out = String::from(
         "scale,vertices,edges,gunrock_ms,gunrock_colors,graphblast_ms,graphblast_colors\n",
     );
-    for r in rows {
+    for (gr, gb) in fig3_pairs(report) {
         out.push_str(&format!(
             "{},{},{},{},{},{},{}\n",
-            r.scale,
-            r.vertices,
-            r.edges,
-            r.gunrock_ms,
-            r.gunrock_colors,
-            r.graphblast_ms,
-            r.graphblast_colors
+            gr.scale, gr.vertices, gr.edges, gr.model_ms, gr.colors, gb.model_ms, gb.colors
         ));
     }
     out
@@ -506,7 +503,8 @@ fn short(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{fig1_dataset, fig2, fig3, table1, table2, ExperimentConfig};
+    use crate::experiments::{fig1_dataset, fig2, table1, table2, ExperimentConfig};
+    use crate::scale_sweep::scale_sweep;
 
     #[test]
     fn renderers_produce_nonempty_output() {
@@ -520,7 +518,8 @@ mod tests {
         assert!(render_fig1a(&data).contains("geomean"));
         assert!(render_fig1b(&data).contains("GB/MIS"));
         assert!(render_fig2(&fig2(&data)).contains("ecology2"));
-        assert!(render_fig3(&fig3(&cfg)).contains("Scale"));
+        let sweep = scale_sweep(cfg.rgg_min, cfg.rgg_max, cfg.seed);
+        assert!(render_fig3(&sweep).contains("Scale"));
     }
 
     #[test]
@@ -531,7 +530,7 @@ mod tests {
         let csv = fig1_csv(&data);
         assert!(csv.starts_with("dataset,"));
         assert_eq!(csv.lines().count(), 1 + 9);
-        let f3 = fig3_csv(&fig3(&cfg));
+        let f3 = fig3_csv(&scale_sweep(cfg.rgg_min, cfg.rgg_max, cfg.seed));
         assert_eq!(f3.lines().count(), 1 + 3);
     }
 }

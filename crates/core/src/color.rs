@@ -131,6 +131,16 @@ impl ColoringResult {
         }
     }
 
+    /// The result of a device run, read once it is done: the device's
+    /// model clock, launch count and profile. Every device colorer resets
+    /// its device at the start of its timed span, so these cover exactly
+    /// that span.
+    pub fn from_device(dev: &gc_vgpu::Device, colors: Vec<u32>, iterations: u32) -> Self {
+        let profile = dev.profile();
+        ColoringResult::new(colors, iterations, dev.elapsed_ms(), profile.launches)
+            .with_profile(profile)
+    }
+
     /// Attaches the device profile snapshot for the run.
     pub fn with_profile(mut self, profile: gc_vgpu::ProfileReport) -> Self {
         self.profile = Some(profile);

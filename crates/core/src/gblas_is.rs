@@ -76,7 +76,6 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, short_cutting: bool) -> Coloring
     let weight = Vector::<i64>::new(n);
     let frontier = Vector::<i64>::new(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
     let desc = Descriptor::null();
 
     // Initialize colors to 0.
@@ -176,10 +175,8 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, short_cutting: bool) -> Coloring
     }
 
     assert!(finished, "IS coloring exceeded the {MAX_COLORS}-round cap");
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
     let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors, iterations)
 }
 
 /// Runs Algorithm 2 full-width, as the paper transcribes it: every op
@@ -194,7 +191,6 @@ pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     let max = Vector::<i64>::new(n);
     let frontier = Vector::<i64>::new(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
     let desc = Descriptor::null();
 
     ops::assign_scalar(dev, &c, None, 0, desc);
@@ -247,10 +243,8 @@ pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     }
 
     assert!(finished, "IS coloring exceeded the {MAX_COLORS}-color cap");
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
     let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors, iterations)
 }
 
 #[cfg(test)]

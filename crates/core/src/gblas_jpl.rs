@@ -199,7 +199,6 @@ pub fn run_on_with(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> Coloring
     let min_array = Vector::<i64>::new(max_colors);
     let ascending = Vector::<i64>::new(max_colors);
     dev.reset();
-    let launches_before = dev.profile().launches;
     let desc = Descriptor::null();
 
     ops::assign_scalar(dev, &c, None, 0, desc);
@@ -293,10 +292,8 @@ pub fn run_on_with(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> Coloring
         }
     }
 
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
     let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors, iterations)
 }
 
 /// The paper's full-width transcription as profiled (memcpy-backed
@@ -319,7 +316,6 @@ pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     let min_array = Vector::<i64>::new(max_colors);
     let ascending = Vector::<i64>::new(max_colors);
     dev.reset();
-    let launches_before = dev.profile().launches;
     let desc = Descriptor::null();
 
     ops::assign_scalar(dev, &c, None, 0, desc);
@@ -386,10 +382,8 @@ pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         }
     }
 
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
     let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors, iterations)
 }
 
 #[cfg(test)]

@@ -179,7 +179,6 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     let work = Vector::<i64>::new(n);
     let frontier = Vector::<i64>::new(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
     let desc = Descriptor::null();
 
     ops::assign_scalar(dev, &c, None, 0, desc);
@@ -232,10 +231,8 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     }
 
     assert!(finished, "MIS coloring exceeded the {MAX_COLORS}-color cap");
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
     let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors, iterations)
 }
 
 /// Runs the MIS coloring full-width, as the paper transcribes it. Kept
@@ -252,7 +249,6 @@ pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     let frontier = Vector::<i64>::new(n);
     let nbr = Vector::<i64>::new(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
     let desc = Descriptor::null();
 
     ops::assign_scalar(dev, &c, None, 0, desc);
@@ -294,10 +290,8 @@ pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     }
 
     assert!(finished, "MIS coloring exceeded the {MAX_COLORS}-color cap");
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
     let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors, iterations)
 }
 
 /// Standalone maximal-independent-set computation (exposed for tests and

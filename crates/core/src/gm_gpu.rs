@@ -49,7 +49,6 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     let rand = DeviceBuffer::<u64>::zeroed(n);
     let reset = DeviceBuffer::<u8>::zeroed(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
 
     dev.launch("gm::init_random", n, |t| {
         let v = t.tid();
@@ -133,9 +132,7 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         |_| {},
     );
 
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors.to_vec(), iterations)
 }
 
 #[cfg(test)]

@@ -46,7 +46,6 @@ fn run(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
     let colors = DeviceBuffer::<u32>::zeroed(n);
     let rand = DeviceBuffer::<u64>::zeroed(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
 
     dev.launch("ar::init_random", n, |t| {
         let v = t.tid();
@@ -107,9 +106,7 @@ fn run(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
         |_| {},
     );
 
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors.to_vec(), iterations)
 }
 
 #[cfg(test)]

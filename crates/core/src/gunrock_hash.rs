@@ -26,16 +26,11 @@ pub struct HashConfig {
     /// hash table size is a modifiable value, and is inversely related
     /// to the number of conflicts."
     pub hash_size: usize,
-    /// Safety cap on iterations.
-    pub max_iterations: u32,
 }
 
 impl Default for HashConfig {
     fn default() -> Self {
-        HashConfig {
-            hash_size: 8,
-            max_iterations: 100_000,
-        }
+        HashConfig { hash_size: 8 }
     }
 }
 
@@ -78,7 +73,6 @@ fn run(dev: &Device, g: &Csr, seed: u64, cfg: HashConfig, shape: Shape) -> Color
     let proposal = DeviceBuffer::<u32>::zeroed(n);
     let reset_flags = DeviceBuffer::<u8>::zeroed(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
 
     dev.launch("hash::init_random", n, |t| {
         let v = t.tid();
@@ -232,18 +226,14 @@ fn run(dev: &Device, g: &Csr, seed: u64, cfg: HashConfig, shape: Shape) -> Color
         });
     };
 
-    let iterations = Rounds::new(dev, shape, "hash::iteration", "hash::check_op")
-        .max_rounds(cfg.max_iterations)
-        .run(
-            n,
-            propose_resolve,
-            |t, v| t.read(&colors, v as usize) == 0,
-            gen_hash,
-        );
+    let iterations = Rounds::new(dev, shape, "hash::iteration", "hash::check_op").run(
+        n,
+        propose_resolve,
+        |t, v| t.read(&colors, v as usize) == 0,
+        gen_hash,
+    );
 
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors.to_vec(), iterations)
 }
 
 #[cfg(test)]
@@ -361,14 +351,7 @@ mod tests {
     fn larger_hash_table_never_hurts_validity() {
         let g = erdos_renyi(300, 0.03, 2);
         for hs in [1, 2, 4, 16] {
-            let r = gunrock_hash(
-                &g,
-                1,
-                HashConfig {
-                    hash_size: hs,
-                    ..Default::default()
-                },
-            );
+            let r = gunrock_hash(&g, 1, HashConfig { hash_size: hs });
             assert_proper(&g, r.coloring.as_slice());
         }
     }

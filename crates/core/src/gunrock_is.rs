@@ -66,8 +66,6 @@ pub struct IsConfig {
     /// count — usually well under it, because first-fit refills the low
     /// classes every round. Costs one extra kernel per iteration.
     pub short_cutting: bool,
-    /// Safety cap on iterations.
-    pub max_iterations: u32,
 }
 
 impl Default for IsConfig {
@@ -79,7 +77,6 @@ impl Default for IsConfig {
             weight_mode: WeightMode::Random,
             load_balance: false,
             short_cutting: false,
-            max_iterations: 100_000,
         }
     }
 }
@@ -180,7 +177,6 @@ fn run(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig, shape: Shape) -> Colorin
     // Winner flags of the short-cutting path (1 = max set, 2 = min set).
     let winner = DeviceBuffer::<u32>::zeroed(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
 
     // Initialize R <- generateRandomNumbers (or degree-based priority).
     match cfg.weight_mode {
@@ -380,18 +376,14 @@ fn run(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig, shape: Shape) -> Colorin
         }
     };
 
-    let iterations = Rounds::new(dev, shape, "is::iteration", "is::check_op")
-        .max_rounds(cfg.max_iterations)
-        .run(
-            n,
-            issue_color,
-            |t, v| t.read(&colors, v as usize) == 0,
-            |_| {},
-        );
+    let iterations = Rounds::new(dev, shape, "is::iteration", "is::check_op").run(
+        n,
+        issue_color,
+        |t, v| t.read(&colors, v as usize) == 0,
+        |_| {},
+    );
 
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors.to_vec(), iterations)
 }
 
 #[cfg(test)]

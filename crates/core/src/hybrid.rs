@@ -67,15 +67,12 @@ pub struct HybridConfig {
     /// tail in one pass of the CPU model — the crossover the Rai & Pai
     /// hybrid is built around.
     pub straggler_divisor: u32,
-    /// Hard cap on device rounds.
-    pub max_iterations: u32,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
             straggler_divisor: 4,
-            max_iterations: 100_000,
         }
     }
 }
@@ -100,7 +97,6 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HybridConfig) -> ColoringRe
     let colors = DeviceBuffer::<u32>::zeroed(n);
     let winner = DeviceBuffer::<u32>::zeroed(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
 
     // First-fit assignment: smallest color absent from the *entire*
     // neighborhood. Winner sets are independent sets, so concurrent
@@ -171,7 +167,6 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HybridConfig) -> ColoringRe
     // assignment into the contraction saves the fourth kernel. The loop
     // stops once fewer than n / straggler_divisor vertices survive.
     let iterations = Rounds::new(dev, Shape::Compacted, "hybrid::round", "hybrid::assign_min")
-        .max_rounds(cfg.max_iterations)
         .stop_below(n / cfg.straggler_divisor.max(1) as usize)
         .run(
             n,
@@ -214,9 +209,9 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HybridConfig) -> ColoringRe
     }
     drop(tail_span);
 
-    let model_ms = dev.elapsed_ms() + tail_ms;
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(host_colors, iterations, model_ms, launches).with_profile(dev.profile())
+    let mut result = ColoringResult::from_device(dev, host_colors, iterations);
+    result.model_ms += tail_ms;
+    result
 }
 
 #[cfg(test)]
@@ -279,7 +274,6 @@ mod tests {
         let g = erdos_renyi(300, 0.03, 2);
         let cfg = HybridConfig {
             straggler_divisor: 1,
-            ..HybridConfig::default()
         };
         let r = run_on(&Device::k40c(), &g, 11, cfg);
         assert!(is_proper(&g, r.coloring.as_slice()).is_ok());
@@ -291,7 +285,6 @@ mod tests {
         let g = erdos_renyi(200, 0.04, 3);
         let cfg = HybridConfig {
             straggler_divisor: u32::MAX,
-            ..HybridConfig::default()
         };
         let r = run_on(&Device::k40c(), &g, 11, cfg);
         assert!(is_proper(&g, r.coloring.as_slice()).is_ok());

@@ -61,7 +61,6 @@ fn jpl(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
     let csr = gc_gunrock::DeviceCsr::upload(dev, g);
     let colors = DeviceBuffer::<u32>::zeroed(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
 
     // The iteration number reseeds the in-register hashes.
     let jpl_kernel = |iteration: u32, frontier: &Frontier| {
@@ -102,9 +101,7 @@ fn jpl(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
         |_| {},
     );
 
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors.to_vec(), iterations)
 }
 
 /// The round loop both baselines run on.
@@ -142,7 +139,6 @@ fn cc(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
     let csr = gc_gunrock::DeviceCsr::upload(dev, g);
     let colors = DeviceBuffer::<u32>::zeroed(n);
     dev.reset();
-    let launches_before = dev.profile().launches;
 
     // The iteration number reseeds all CC_HASHES hash functions.
     let cc_kernel = |iteration: u32, frontier: &Frontier| {
@@ -201,9 +197,7 @@ fn cc(dev: &Device, g: &Csr, seed: u64, shape: Shape) -> ColoringResult {
         |_| {},
     );
 
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
+    ColoringResult::from_device(dev, colors.to_vec(), iterations)
 }
 
 #[cfg(test)]

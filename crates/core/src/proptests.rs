@@ -101,7 +101,7 @@ proptest! {
         divisor in 1u32..32,
     ) {
         let dev = Device::k40c();
-        let cfg = HybridConfig { straggler_divisor: divisor, ..HybridConfig::default() };
+        let cfg = HybridConfig { straggler_divisor: divisor };
         let r = hybrid::run_on(&dev, &g, seed, cfg);
         prop_assert!(
             is_proper(&g, r.coloring.as_slice()).is_ok(),

@@ -23,8 +23,8 @@
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,6 +34,7 @@ use gc_service::{
     lineage_fingerprint, CacheKey, ColorRequest, ColorResponse, ColoringService, Objective,
     ServiceConfig, ServiceError, ServiceHandle,
 };
+use gc_telemetry::{Counter, Histogram, MetricsRegistry};
 use gc_vgpu::Device;
 
 use crate::wire::*;
@@ -44,7 +45,9 @@ const MAX_REPAIR_ROUNDS: u32 = 64;
 
 /// Server tuning. The embedded [`ServiceConfig`] controls the worker
 /// pool, cache, and telemetry; tracer and metrics are shared by the
-/// network layer (per-verb counters, request spans).
+/// network layer (frame and per-verb counters, request spans). Without
+/// a registry the server makes one, so it and its service always count
+/// into the same place.
 #[derive(Clone, Debug, Default)]
 pub struct NetServerConfig {
     pub service: ServiceConfig,
@@ -75,33 +78,66 @@ struct Shared {
     local_addr: SocketAddr,
     graphs: Mutex<HashMap<u64, Arc<Mutex<GraphEntry>>>>,
     stopping: AtomicBool,
-    frames_ok: AtomicU64,
-    frames_bad: AtomicU64,
     tracer: Option<gc_telemetry::Tracer>,
-    metrics: Option<gc_telemetry::MetricsRegistry>,
+    metrics: NetMetrics,
+}
+
+/// The server's handles into the registry its service counts into.
+/// Frame counters are resolved at start; a verb's or error code's
+/// handles on its first frame, so a dump lists only the verbs and
+/// codes seen, and no later frame takes the registry's intern lock.
+struct NetMetrics {
+    registry: MetricsRegistry,
+    frames_ok: Counter,
+    frames_bad: Counter,
+    /// `gc_net_requests_total` and `gc_net_request_ms`, by verb byte.
+    verbs: [OnceLock<(Counter, Histogram)>; 256],
+    /// `gc_net_errors_total`, by error code (`Internal` is the last).
+    errors: [OnceLock<Counter>; ErrCode::Internal as usize + 1],
+}
+
+impl NetMetrics {
+    fn new(registry: MetricsRegistry) -> Self {
+        let frames =
+            |outcome| registry.counter_with("gc_net_frames_total", &[("outcome", outcome)]);
+        NetMetrics {
+            frames_ok: frames("ok"),
+            frames_bad: frames("bad"),
+            verbs: std::array::from_fn(|_| OnceLock::new()),
+            errors: std::array::from_fn(|_| OnceLock::new()),
+            registry,
+        }
+    }
+
+    fn verb(&self, verb: u8) -> &(Counter, Histogram) {
+        self.verbs[verb as usize].get_or_init(|| {
+            let label = [("verb", verb_name(verb))];
+            (
+                self.registry.counter_with("gc_net_requests_total", &label),
+                self.registry.histogram_with("gc_net_request_ms", &label),
+            )
+        })
+    }
 }
 
 impl Shared {
     fn count_verb(&self, verb: u8) {
-        if let Some(m) = &self.metrics {
-            m.counter_with("gc_net_requests_total", &[("verb", verb_name(verb))])
-                .inc();
-        }
+        self.metrics.verb(verb).0.inc();
     }
 
     fn count_error(&self, code: ErrCode) {
-        if let Some(m) = &self.metrics {
-            let label = format!("{code:?}");
-            m.counter_with("gc_net_errors_total", &[("code", label.as_str())])
-                .inc();
-        }
+        self.metrics.errors[code as usize]
+            .get_or_init(|| {
+                let label = format!("{code:?}");
+                self.metrics
+                    .registry
+                    .counter_with("gc_net_errors_total", &[("code", label.as_str())])
+            })
+            .inc();
     }
 
     fn observe_request(&self, verb: u8, wall: Duration) {
-        if let Some(m) = &self.metrics {
-            m.histogram_with("gc_net_request_ms", &[("verb", verb_name(verb))])
-                .observe(wall.as_secs_f64() * 1e3);
-        }
+        self.metrics.verb(verb).1.observe(wall.as_secs_f64() * 1e3);
     }
 
     fn stats_tick(&self, tick: u32) -> StatsTick {
@@ -119,8 +155,8 @@ impl Shared {
             queued: snap.queued,
             in_flight: snap.in_flight,
             graphs: self.graphs.lock().unwrap().len() as u64,
-            frames_ok: self.frames_ok.load(Ordering::Relaxed),
-            frames_bad: self.frames_bad.load(Ordering::Relaxed),
+            frames_ok: self.metrics.frames_ok.get(),
+            frames_bad: self.metrics.frames_bad.get(),
             sharded: snap.sharded,
             halo_rounds: snap.halo_rounds,
             changed_boundary: snap.changed_boundary,
@@ -144,19 +180,23 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts serving in background threads.
-    pub fn start(addr: &str, config: NetServerConfig) -> std::io::Result<Server> {
+    pub fn start(addr: &str, mut config: NetServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let tracer = config.service.tracer.clone();
-        let metrics = config.service.metrics.clone();
+        let metrics = NetMetrics::new(
+            config
+                .service
+                .metrics
+                .get_or_insert_with(MetricsRegistry::new)
+                .clone(),
+        );
         let service = ColoringService::start(config.service);
         let shared = Arc::new(Shared {
             handle: service.handle(),
             local_addr,
             graphs: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
-            frames_ok: AtomicU64::new(0),
-            frames_bad: AtomicU64::new(0),
             tracer,
             metrics,
         });
@@ -263,14 +303,14 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
             Err(e @ WireError::Oversized { .. }) => {
                 // The payload was never consumed; the stream is
                 // desynchronized — report and hang up.
-                shared.frames_bad.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.frames_bad.inc();
                 shared.count_error(ErrCode::Malformed);
                 let err = ErrorFrame::new(ErrCode::Malformed, e.to_string());
                 let _ = write_frame(&mut writer, VERB_ERROR, &err.encode());
                 return;
             }
             Err(e @ WireError::Malformed(_)) => {
-                shared.frames_bad.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.frames_bad.inc();
                 shared.count_error(ErrCode::Malformed);
                 let err = ErrorFrame::new(ErrCode::Malformed, e.to_string());
                 let _ = write_frame(&mut writer, VERB_ERROR, &err.encode());
@@ -284,7 +324,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
         shared.observe_request(verb, started.elapsed());
         match outcome {
             FrameOutcome::Ok => {
-                shared.frames_ok.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.frames_ok.inc();
                 span.attr("outcome", "ok");
             }
             FrameOutcome::Error(code) => {
@@ -292,9 +332,9 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                 // the request failed. Malformed bodies count as protocol
                 // errors, everything else as request errors.
                 if code == ErrCode::Malformed {
-                    shared.frames_bad.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.frames_bad.inc();
                 } else {
-                    shared.frames_ok.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.frames_ok.inc();
                 }
                 shared.count_error(code);
                 span.attr("outcome", format!("error:{code:?}"));
@@ -304,7 +344,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                 return;
             }
             FrameOutcome::ShutdownRequested => {
-                shared.frames_ok.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.frames_ok.inc();
                 span.attr("outcome", "shutdown");
                 drop(span);
                 shared.stopping.store(true, Ordering::SeqCst);

@@ -488,6 +488,51 @@ fn garbage_frames_get_error_frames_not_crashes() {
     server.stop();
 }
 
+#[test]
+fn one_malformed_frame_counts_once_in_registry_tick_and_dump() {
+    let metrics = gc_telemetry::MetricsRegistry::new();
+    let config = NetServerConfig {
+        service: ServiceConfig {
+            metrics: Some(metrics.clone()),
+            ..ServiceConfig::default()
+        },
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut raw = NetClientRaw::connect(server.local_addr());
+    // The bad-frame count as the registry cell, a stats tick and the
+    // Prometheus dump report it. The tick rides the same connection,
+    // whose frames are handled in order, so it sees every earlier frame.
+    let bad_frames = |raw: &mut NetClientRaw| {
+        let ask = SubscribeStats {
+            ticks: 1,
+            interval_ms: 0,
+        };
+        let tick = match raw.call(VERB_SUBSCRIBE_STATS, &ask.encode()) {
+            ReplyOrError::Ok(VERB_STATS_TICK, body) => StatsTick::decode(&body).unwrap(),
+            other => panic!("expected a stats tick, got {other:?}"),
+        };
+        let cell = metrics
+            .counter_with("gc_net_frames_total", &[("outcome", "bad")])
+            .get();
+        let dump = gc_telemetry::to_prometheus(&metrics);
+        let line = dump
+            .lines()
+            .find_map(|l| l.strip_prefix("gc_net_frames_total{outcome=\"bad\"} "))
+            .expect("dump carries the bad-frame counter");
+        (cell, tick.frames_bad, line.parse::<u64>().unwrap())
+    };
+
+    let before = bad_frames(&mut raw);
+    match raw.call(VERB_COLOR, &[1, 2]) {
+        ReplyOrError::Err(e) => assert_eq!(e.code, ErrCode::Malformed),
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    let after = bad_frames(&mut raw);
+    assert_eq!(before, (0, 0, 0));
+    assert_eq!(after, (1, 1, 1));
+    server.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------

@@ -29,10 +29,7 @@
 //!   [`gc_core::runner::colorer_by_name`], which resolves Figure 1 and
 //!   §VI extension names alike.
 
-use gc_core::greedy::Ordering;
-use gc_core::gunrock_is::IsConfig;
-use gc_core::hybrid::HybridConfig;
-use gc_core::runner::{colorer_by_name, Colorer, ColorerKind};
+use gc_core::runner::{colorer_by_name, Colorer};
 use gc_graph::stats::degree_stats;
 use gc_graph::Csr;
 
@@ -74,55 +71,21 @@ pub fn features(g: &Csr) -> GraphFeatures {
 
 /// Picks the implementation for `objective` on a graph with `feats`.
 pub fn choose(feats: &GraphFeatures, objective: &Objective) -> Result<Colorer, ServiceError> {
-    match objective {
-        Objective::Explicit(name) => {
-            colorer_by_name(name).ok_or_else(|| ServiceError::UnknownColorer(name.clone()))
+    let tiny = feats.vertices < TINY_GRAPH_VERTICES;
+    let name = match objective {
+        Objective::Explicit(name) => name.as_str(),
+        // Sequential greedy is already first-fit quality, and for
+        // MinColors the post-pass still applies on top.
+        Objective::Fastest | Objective::MinColors { .. } | Objective::Balanced if tiny => {
+            "CPU/Color_Greedy"
         }
-        Objective::Fastest => {
-            if feats.vertices < TINY_GRAPH_VERTICES {
-                Ok(Colorer::new(
-                    "CPU/Color_Greedy",
-                    ColorerKind::CpuGreedy(Ordering::Natural),
-                ))
-            } else {
-                Ok(Colorer::new("Naumov/Color_CC", ColorerKind::NaumovCc))
-            }
-        }
-        Objective::FewestColors => Ok(Colorer::new("GraphBLAST/Color_MIS", ColorerKind::GblasMis)),
-        Objective::MinColors { .. } => {
-            if feats.vertices < TINY_GRAPH_VERTICES {
-                // Sequential greedy is already first-fit quality and the
-                // post-pass still applies on top.
-                Ok(Colorer::new(
-                    "CPU/Color_Greedy",
-                    ColorerKind::CpuGreedy(Ordering::Natural),
-                ))
-            } else {
-                Ok(Colorer::new(
-                    "Hybrid/Color_JP",
-                    ColorerKind::HybridJp(HybridConfig::default()),
-                ))
-            }
-        }
-        Objective::Balanced => {
-            if feats.vertices < TINY_GRAPH_VERTICES {
-                Ok(Colorer::new(
-                    "CPU/Color_Greedy",
-                    ColorerKind::CpuGreedy(Ordering::Natural),
-                ))
-            } else if feats.degree_cv > IRREGULAR_DEGREE_CV {
-                Ok(Colorer::new(
-                    "Extension/Color_IS_LB",
-                    ColorerKind::GunrockIs(IsConfig::min_max_load_balanced()),
-                ))
-            } else {
-                Ok(Colorer::new(
-                    "Gunrock/Color_IS",
-                    ColorerKind::GunrockIs(IsConfig::min_max()),
-                ))
-            }
-        }
-    }
+        Objective::Fastest => "Naumov/Color_CC",
+        Objective::FewestColors => "GraphBLAST/Color_MIS",
+        Objective::MinColors { .. } => "Hybrid/Color_JP",
+        Objective::Balanced if feats.degree_cv > IRREGULAR_DEGREE_CV => "Extension/Color_IS_LB",
+        Objective::Balanced => "Gunrock/Color_IS",
+    };
+    colorer_by_name(name).ok_or_else(|| ServiceError::UnknownColorer(name.to_string()))
 }
 
 #[cfg(test)]

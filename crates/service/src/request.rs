@@ -192,9 +192,6 @@ pub struct ColorResponse {
     /// Bytes the delta halo exchange actually moved device-to-device
     /// (0 when devices=1).
     pub halo_bytes_delta: u64,
-    /// Halo-exchange rounds counted on the devices' profiles (equals
-    /// `conflict_rounds` on the sharded path).
-    pub halo_rounds: u64,
     /// Boundary vertices recolored across all conflict rounds.
     pub changed_boundary: u64,
     /// Fraction of async halo-transfer cycles hidden behind compute

@@ -46,8 +46,11 @@ pub struct ServiceConfig {
     /// `policy_decide` / `color` (with the colorer's per-iteration spans
     /// and kernel events inside) / `verify` / `cache_insert`.
     pub tracer: Option<gc_telemetry::Tracer>,
-    /// When set, service counters, queue gauges, and per-colorer latency
-    /// histograms are published here (see [`crate::stats`]).
+    /// The registry the service counts into: counters, queue gauges, and
+    /// per-colorer latency histograms (see [`crate::stats`]). `None`
+    /// gives the service a private registry, so two services started
+    /// from clones of one config never sum each other's counts; a
+    /// registry handed to two services sums them.
     pub metrics: Option<gc_telemetry::MetricsRegistry>,
     /// Virtual devices per request. At 1 (the default) each worker
     /// colors on a single device; above 1, GPU-backed requests are
@@ -130,10 +133,9 @@ impl ColoringService {
         let workers = config.workers.max(1);
         let (tx, rx) = sync_channel::<Job>(config.queue_capacity.max(1));
         let rx: SharedReceiver = Arc::new(Mutex::new(rx));
-        let stats = Arc::new(match config.metrics {
-            Some(registry) => ServiceStats::with_registry(registry),
-            None => ServiceStats::new(),
-        });
+        let stats = Arc::new(ServiceStats::with_registry(
+            config.metrics.unwrap_or_default(),
+        ));
         let cache: ResultCache = Arc::new(LruCache::new(config.cache_capacity));
 
         let handles = (0..workers)
@@ -481,15 +483,7 @@ fn handle_job(
         // graph is partitioned, each shard colored on its own device, and
         // boundary conflicts resolved (overlapped delta halo exchange)
         // before the merged coloring comes back.
-        struct ShardTelemetry {
-            conflict_rounds: u32,
-            halo_bytes: u64,
-            halo_bytes_delta: u64,
-            halo_rounds: u64,
-            changed_boundary: u64,
-            overlap_ratio: f64,
-        }
-        let (result, shard) = if devices > 1 {
+        let resp = if devices > 1 {
             // The service verifies the merged coloring itself below, so the
             // sharded path's own verification pass is redundant here.
             let cfg = gc_shard::ShardedConfig {
@@ -497,29 +491,29 @@ fn handle_job(
                 ..gc_shard::ShardedConfig::new(devices)
             };
             let sharded = gc_shard::run_sharded(&colorer, &req.graph, req.seed, &cfg);
-            let telemetry = ShardTelemetry {
+            stats.on_sharded(
+                sharded.conflict_rounds,
+                sharded.changed_boundary,
+                sharded.halo_bytes,
+                sharded.halo_bytes_delta,
+                sharded.overlap_ratio,
+            );
+            ColorResponse {
+                devices,
                 conflict_rounds: sharded.conflict_rounds,
                 halo_bytes: sharded.halo_bytes,
                 halo_bytes_delta: sharded.halo_bytes_delta,
-                halo_rounds: sharded.halo_rounds,
                 changed_boundary: sharded.changed_boundary,
                 overlap_ratio: sharded.overlap_ratio,
-            };
-            stats.on_sharded(
-                telemetry.halo_rounds,
-                telemetry.changed_boundary,
-                telemetry.halo_bytes,
-                telemetry.halo_bytes_delta,
-                telemetry.overlap_ratio,
-            );
-            (sharded.result, Some(telemetry))
+                ..single_device_response(&colorer, req, sharded.result)
+            }
         } else {
-            (colorer.run(&req.graph, req.seed), None)
+            single_device_response(&colorer, req, colorer.run(&req.graph, req.seed))
         };
 
         let verified = {
             let _verify = gc_telemetry::span("verify");
-            is_proper(&req.graph, result.coloring.as_slice())
+            is_proper(&req.graph, resp.coloring.as_slice())
         };
         if let Err(v) = verified {
             stats.on_failed();
@@ -527,32 +521,6 @@ fn handle_job(
             return Err(ServiceError::ImproperColoring(v));
         }
 
-        let metrics = result
-            .profile
-            .as_ref()
-            .map(RequestMetrics::from_profile)
-            .unwrap_or_default();
-        let resp = ColorResponse {
-            coloring: result.coloring,
-            num_colors: result.num_colors,
-            colorer: colorer.name(),
-            objective: req.objective.clone(),
-            model_ms: result.model_ms,
-            iterations: result.iterations,
-            cache_hit: false,
-            verified: true,
-            devices,
-            conflict_rounds: shard.as_ref().map_or(0, |s| s.conflict_rounds),
-            halo_bytes: shard.as_ref().map_or(0, |s| s.halo_bytes),
-            halo_bytes_delta: shard.as_ref().map_or(0, |s| s.halo_bytes_delta),
-            halo_rounds: shard.as_ref().map_or(0, |s| s.halo_rounds),
-            changed_boundary: shard.as_ref().map_or(0, |s| s.changed_boundary),
-            overlap_ratio: shard.as_ref().map_or(0.0, |s| s.overlap_ratio),
-            colors_before: 0,
-            colors_after: 0,
-            reduction_passes: 0,
-            metrics,
-        };
         if reduce_budget_ms.is_some() {
             // Prime the base entry so the next MinColors request (any
             // budget) and Explicit requests for this colorer both hit.
@@ -605,6 +573,39 @@ fn handle_job(
         req_span.set_model_range(0.0, resp.model_ms);
     }
     Ok(resp)
+}
+
+/// The (not yet verified) response for one run of `colorer`, with the
+/// sharding fields of a single-device run.
+fn single_device_response(
+    colorer: &gc_core::Colorer,
+    req: &ColorRequest,
+    result: gc_core::ColoringResult,
+) -> ColorResponse {
+    ColorResponse {
+        metrics: result
+            .profile
+            .as_ref()
+            .map(RequestMetrics::from_profile)
+            .unwrap_or_default(),
+        coloring: result.coloring,
+        num_colors: result.num_colors,
+        colorer: colorer.name(),
+        objective: req.objective.clone(),
+        model_ms: result.model_ms,
+        iterations: result.iterations,
+        cache_hit: false,
+        verified: true,
+        devices: 1,
+        conflict_rounds: 0,
+        halo_bytes: 0,
+        halo_bytes_delta: 0,
+        changed_boundary: 0,
+        overlap_ratio: 0.0,
+        colors_before: 0,
+        colors_after: 0,
+        reduction_passes: 0,
+    }
 }
 
 #[cfg(test)]
@@ -937,13 +938,13 @@ mod tests {
             resp.halo_bytes_delta,
             resp.halo_bytes
         );
-        assert_eq!(resp.halo_rounds, resp.conflict_rounds as u64);
         assert!((0.0..=1.0).contains(&resp.overlap_ratio));
         assert!(is_proper(&g, resp.coloring.as_slice()).is_ok());
-        // The shard telemetry also lands in the service stats.
+        // The shard telemetry also lands in the service stats; its halo
+        // rounds are the summed conflict rounds.
         let snap = svc.stats();
         assert_eq!(snap.sharded, 1);
-        assert_eq!(snap.halo_rounds, resp.halo_rounds);
+        assert_eq!(snap.halo_rounds, u64::from(resp.conflict_rounds));
         assert_eq!(snap.changed_boundary, resp.changed_boundary);
         assert_eq!(snap.halo_bytes_delta, resp.halo_bytes_delta);
         // The same request is a cache hit and carries the same sharding

@@ -1,26 +1,26 @@
 //! Service-wide counters and per-colorer latency histograms.
 //!
-//! Counters are lock-free atomics updated on the hot path; the latency
-//! histograms (bucketed in model-ms, the unit the paper reports) sit
-//! behind a mutex that is only taken once per completed request.
-//!
-//! When the service is started with a [`gc_telemetry::MetricsRegistry`],
-//! every lifecycle hook also publishes to it (`gc_service_*` counters
-//! and gauges plus a per-colorer `gc_service_request_model_ms`
-//! histogram), so a Prometheus dump of the registry mirrors the
-//! [`StatsSnapshot`] without a second bookkeeping path.
+//! Every count lives in one [`MetricsRegistry`]: a private one, or the
+//! one [`crate::ServiceConfig::metrics`] names. [`ServiceStats`]
+//! resolves its handles once, at construction, so each lifecycle hook is
+//! one atomic update per fact, and [`ServiceStats::snapshot`] reads the
+//! same cells a Prometheus dump of the registry exports (`gc_service_*`
+//! counters and gauges plus a per-colorer `gc_service_request_model_ms`
+//! histogram in model-ms, the unit the paper reports).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
-use gc_telemetry::{Counter, Gauge, MetricsRegistry};
+use gc_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 // The histogram moved to `gc-telemetry` so the bench harness and the
 // trace subcommand share one bucket layout and quantile estimator;
 // re-exported here so existing `gc_service::stats::LatencyHistogram`
 // users keep compiling.
 pub use gc_telemetry::{LatencyHistogram, LATENCY_BUCKET_EDGES_MS};
+
+/// Per-colorer model-ms latency of actual runs, labelled `colorer`.
+const MODEL_MS: &str = "gc_service_request_model_ms";
 
 /// Point-in-time snapshot of service activity, taken with
 /// [`ServiceStats::snapshot`].
@@ -50,7 +50,7 @@ pub struct StatsSnapshot {
     /// Requests served through the multi-device sharded path (cache
     /// misses only — a hit replays a stored coloring on no device).
     pub sharded: u64,
-    /// Halo-exchange rounds summed over all sharded requests.
+    /// Halo-exchange (conflict) rounds summed over all sharded requests.
     pub halo_rounds: u64,
     /// Boundary vertices recolored during conflict resolution, summed
     /// over all rounds of all sharded requests.
@@ -76,9 +76,9 @@ impl StatsSnapshot {
     }
 }
 
-/// Pre-interned registry handles, resolved once at service start so the
-/// per-request hooks never take the registry's intern locks.
-struct MetricHandles {
+/// Shared, thread-safe counters. One instance per service, shared by all
+/// workers and by every handle.
+pub struct ServiceStats {
     registry: MetricsRegistry,
     submitted: Counter,
     served: Counter,
@@ -89,18 +89,35 @@ struct MetricHandles {
     failed: Counter,
     shed_deadline: Counter,
     shed_queue_full: Counter,
+    /// Admitted, not yet dequeued.
     queued: Gauge,
+    /// Dequeued, currently running on a worker.
     in_flight: Gauge,
     sharded: Counter,
     halo_rounds: Counter,
     changed_boundary: Counter,
     halo_bytes_full: Counter,
     halo_bytes_delta: Counter,
+    /// Interned by the first sharded request, so a single-device
+    /// service exports no empty overlap histogram.
+    overlap_ratio: OnceLock<Histogram>,
 }
 
-impl MetricHandles {
-    fn new(registry: MetricsRegistry) -> Self {
-        MetricHandles {
+impl Default for ServiceStats {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ServiceStats {
+    /// Stats counted into a registry of their own.
+    pub fn new() -> Self {
+        Self::with_registry(MetricsRegistry::new())
+    }
+
+    /// Stats counted into `registry`.
+    pub fn with_registry(registry: MetricsRegistry) -> Self {
+        ServiceStats {
             submitted: registry.counter("gc_service_requests_submitted_total"),
             served: registry.counter("gc_service_requests_served_total"),
             cache_hits: registry.counter("gc_service_cache_hits_total"),
@@ -126,201 +143,116 @@ impl MetricHandles {
                 .counter_with("gc_service_shard_halo_bytes_total", &[("kind", "full")]),
             halo_bytes_delta: registry
                 .counter_with("gc_service_shard_halo_bytes_total", &[("kind", "delta")]),
+            overlap_ratio: OnceLock::new(),
             registry,
-        }
-    }
-}
-
-/// Shared, thread-safe counters. One instance per service, shared by all
-/// workers and by every handle.
-#[derive(Default)]
-pub struct ServiceStats {
-    submitted: AtomicU64,
-    served: AtomicU64,
-    cache_hits: AtomicU64,
-    revalidated: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
-    failed: AtomicU64,
-    /// Admitted, not yet dequeued.
-    queued: AtomicI64,
-    /// Dequeued, currently running on a worker.
-    in_flight: AtomicI64,
-    sharded: AtomicU64,
-    halo_rounds: AtomicU64,
-    changed_boundary: AtomicU64,
-    halo_bytes_delta: AtomicU64,
-    /// Sum of per-request overlap ratios in permille, so the snapshot
-    /// can report a mean without a float atomic.
-    overlap_permille_sum: AtomicU64,
-    latency: Mutex<BTreeMap<String, LatencyHistogram>>,
-    metrics: Option<MetricHandles>,
-}
-
-impl ServiceStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A stats instance that mirrors every update into `registry`.
-    pub fn with_registry(registry: MetricsRegistry) -> Self {
-        ServiceStats {
-            metrics: Some(MetricHandles::new(registry)),
-            ..Default::default()
         }
     }
 
     pub fn on_submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.submitted.inc();
-            m.queued.add(1);
-        }
+        self.submitted.inc();
+        self.queued.add(1);
     }
 
     pub fn on_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.rejected.inc();
-            m.shed_queue_full.inc();
-        }
+        self.rejected.inc();
+        self.shed_queue_full.inc();
     }
 
     /// A cached result survived a graph mutation via incremental
     /// revalidation instead of being invalidated.
     pub fn on_revalidated(&self) {
-        self.revalidated.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.revalidated.inc();
-        }
+        self.revalidated.inc();
     }
 
     /// A worker pulled the request off the queue and owns it now.
     pub fn on_dequeued(&self) {
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.queued.sub(1);
-            m.in_flight.add(1);
-        }
+        self.queued.sub(1);
+        self.in_flight.add(1);
     }
 
     pub fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.shed.inc();
-            m.shed_deadline.inc();
-            m.in_flight.sub(1);
-        }
+        self.shed.inc();
+        self.shed_deadline.inc();
+        self.in_flight.sub(1);
     }
 
     pub fn on_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.failed.inc();
-            m.in_flight.sub(1);
-        }
+        self.failed.inc();
+        self.in_flight.sub(1);
     }
 
     /// Failure before any worker dequeued the request (the service shut
     /// down under a submitted job) — decrements `queued`, not
     /// `in_flight`.
     pub fn on_failed_at_submit(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.failed.inc();
-            m.queued.sub(1);
-        }
+        self.failed.inc();
+        self.queued.sub(1);
     }
 
+    /// A cache miss interns its colorer's histogram, the one registry
+    /// lookup on a hook.
     pub fn on_served(&self, colorer: &str, model_ms: f64, cache_hit: bool) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.served.inc();
-            m.in_flight.sub(1);
-        }
+        self.served.inc();
+        self.in_flight.sub(1);
         if cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.cache_hits.inc();
-            }
+            self.cache_hits.inc();
         } else {
-            let mut latency = self.latency.lock().unwrap();
-            latency
-                .entry(colorer.to_string())
-                .or_default()
-                .record(model_ms);
-            if let Some(m) = &self.metrics {
-                m.registry
-                    .histogram_with("gc_service_request_model_ms", &[("colorer", colorer)])
-                    .observe(model_ms);
-            }
+            self.registry
+                .histogram_with(MODEL_MS, &[("colorer", colorer)])
+                .observe(model_ms);
         }
     }
 
     /// A cache-miss request went through the multi-device sharded path;
-    /// records its halo-exchange telemetry (round count, recolored
+    /// records its halo-exchange telemetry (conflict rounds, recolored
     /// boundary vertices, full vs actually-moved bytes, overlap ratio).
     pub fn on_sharded(
         &self,
-        halo_rounds: u64,
+        conflict_rounds: u32,
         changed_boundary: u64,
         halo_bytes: u64,
         halo_bytes_delta: u64,
         overlap_ratio: f64,
     ) {
-        self.sharded.fetch_add(1, Ordering::Relaxed);
-        self.halo_rounds.fetch_add(halo_rounds, Ordering::Relaxed);
-        self.changed_boundary
-            .fetch_add(changed_boundary, Ordering::Relaxed);
-        self.halo_bytes_delta
-            .fetch_add(halo_bytes_delta, Ordering::Relaxed);
-        let permille = (overlap_ratio.clamp(0.0, 1.0) * 1000.0).round() as u64;
-        self.overlap_permille_sum
-            .fetch_add(permille, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.sharded.inc();
-            m.halo_rounds.add(halo_rounds);
-            m.changed_boundary.add(changed_boundary);
-            m.halo_bytes_full.add(halo_bytes);
-            m.halo_bytes_delta.add(halo_bytes_delta);
-            m.registry
-                .histogram("gc_service_shard_overlap_ratio")
-                .observe(overlap_ratio);
-        }
+        self.sharded.inc();
+        self.halo_rounds.add(conflict_rounds.into());
+        self.changed_boundary.add(changed_boundary);
+        self.halo_bytes_full.add(halo_bytes);
+        self.halo_bytes_delta.add(halo_bytes_delta);
+        self.overlap_ratio
+            .get_or_init(|| self.registry.histogram("gc_service_shard_overlap_ratio"))
+            .observe(overlap_ratio);
     }
 
     pub fn snapshot(&self) -> StatsSnapshot {
-        let queued = self.queued.load(Ordering::Relaxed).max(0) as u64;
-        let in_flight = self.in_flight.load(Ordering::Relaxed).max(0) as u64;
-        let sharded = self.sharded.load(Ordering::Relaxed);
-        let avg_overlap_ratio = if sharded > 0 {
-            self.overlap_permille_sum.load(Ordering::Relaxed) as f64 / 1000.0 / sharded as f64
-        } else {
-            0.0
-        };
+        let queued = self.queued.get().max(0) as u64;
+        let in_flight = self.in_flight.get().max(0) as u64;
         StatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            revalidated: self.revalidated.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
+            submitted: self.submitted.get(),
+            served: self.served.get(),
+            cache_hits: self.cache_hits.get(),
+            revalidated: self.revalidated.get(),
+            shed: self.shed.get(),
+            rejected: self.rejected.get(),
+            failed: self.failed.get(),
             queued,
             in_flight,
             queue_depth: queued + in_flight,
-            sharded,
-            halo_rounds: self.halo_rounds.load(Ordering::Relaxed),
-            changed_boundary: self.changed_boundary.load(Ordering::Relaxed),
-            halo_bytes_delta: self.halo_bytes_delta.load(Ordering::Relaxed),
-            avg_overlap_ratio,
-            latency_by_colorer: self.latency.lock().unwrap().clone(),
+            sharded: self.sharded.get(),
+            halo_rounds: self.halo_rounds.get(),
+            changed_boundary: self.changed_boundary.get(),
+            halo_bytes_delta: self.halo_bytes_delta.get(),
+            avg_overlap_ratio: self
+                .overlap_ratio
+                .get()
+                .map_or(0.0, |h| h.snapshot().mean_ms()),
+            latency_by_colorer: self
+                .registry
+                .histograms()
+                .into_iter()
+                .filter(|((name, _), _)| name == MODEL_MS)
+                .filter_map(|((_, labels), h)| Some((labels.into_iter().next()?.1, h)))
+                .collect(),
         }
     }
 }

@@ -97,8 +97,6 @@ pub struct ShardedConfig {
     /// Number of simulated devices (shards). `1` degenerates to the
     /// single-device path, bit-identical to `Colorer::run`.
     pub devices: usize,
-    /// Conflict-round cap; see [`MAX_CONFLICT_ROUNDS`].
-    pub max_conflict_rounds: u32,
     /// Verify the merged coloring against the full graph before
     /// returning (host-side `O(E)` check).
     pub verify: bool,
@@ -117,7 +115,6 @@ impl ShardedConfig {
     pub fn new(devices: usize) -> Self {
         ShardedConfig {
             devices: devices.max(1),
-            max_conflict_rounds: MAX_CONFLICT_ROUNDS,
             verify: true,
             strategy: PartitionStrategy::BfsGrown,
             delta_halo: true,
@@ -161,7 +158,8 @@ pub struct ShardedResult {
     pub devices: usize,
     /// Halo-exchange rounds executed (0 when the cut is empty; at least
     /// 1 otherwise — the round that confirms the boundary is clean still
-    /// exchanges and scans).
+    /// exchanges and scans). Every device with boundary vertices takes
+    /// part in each round.
     pub conflict_rounds: u32,
     /// Analytic full-replication halo volume: what `conflict_rounds`
     /// rounds would move if every round re-shipped every boundary color
@@ -171,10 +169,6 @@ pub struct ShardedResult {
     /// send-list-filtered round-1 seed plus the compacted per-round
     /// deltas.
     pub halo_bytes_delta: u64,
-    /// Halo-exchange rounds as counted on the devices' profiles (equals
-    /// `conflict_rounds`; reported separately so per-device telemetry
-    /// can be cross-checked against the merged result).
-    pub halo_rounds: u64,
     /// Fraction of async D2D transfer cycles hidden behind compute:
     /// `overlapped / (overlapped + stalled)` summed over devices, `0.0`
     /// when no async transfer ran.
@@ -231,7 +225,6 @@ pub fn run_sharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -
             conflict_rounds: 0,
             halo_bytes: 0,
             halo_bytes_delta: 0,
-            halo_rounds: 0,
             overlap_ratio: 0.0,
             changed_boundary: 0,
             boundary_vertices: 0,
@@ -327,7 +320,6 @@ pub fn run_sharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -
     let launches: u64 = per_device.iter().map(|d| d.launches).sum();
     let iterations = shard_runs.iter().map(|r| r.iterations).max().unwrap_or(0) + stats.rounds;
     let profiles: Vec<ProfileReport> = devices.iter().map(|d| d.profile()).collect();
-    let halo_rounds = profiles.iter().map(|p| p.halo_rounds).max().unwrap_or(0);
     let (overlapped, stalled) = profiles.iter().fold((0.0, 0.0), |(o, s), p| {
         (o + p.d2d_overlapped_cycles, s + p.d2d_stall_cycles)
     });
@@ -369,7 +361,6 @@ pub fn run_sharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -
         conflict_rounds: stats.rounds,
         halo_bytes: stats.halo_bytes,
         halo_bytes_delta: stats.halo_bytes_delta,
-        halo_rounds,
         overlap_ratio,
         changed_boundary: stats.changed_boundary,
         boundary_vertices: partition.boundary_vertices(),
@@ -841,7 +832,7 @@ fn resolve_conflicts(
 
     let mut stats = ResolveStats::default();
 
-    for round in 1..=cfg.max_conflict_rounds {
+    for round in 1..=MAX_CONFLICT_ROUNDS {
         stats.rounds = round;
         let mut sync = gc_telemetry::span("shard_sync");
         sync.attr("round", round);
@@ -1231,9 +1222,6 @@ fn resolve_conflicts(
             st.changed_slots = changed_host;
         }
 
-        for st in states.iter().flatten() {
-            st.dev.record_halo_round();
-        }
         stats.changed_boundary += changed_this_round;
         if sync.is_recording() {
             sync.attr("changed", changed_this_round);

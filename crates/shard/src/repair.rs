@@ -9,15 +9,18 @@
 //!   speculate-recolor loop. Given a coloring that is proper everywhere
 //!   except possibly on edges incident to a small *frontier* of suspect
 //!   vertices (e.g. the endpoints of freshly inserted edges), it runs
-//!   the same round structure as the cross-device resolver, entirely on
-//!   one device: detect monochromatic edges among the frontier, flag the
+//!   rounds over compacted slot lists on one device, with a rule of
+//!   its own: detect monochromatic edges among the frontier, flag the
 //!   higher-id endpoint of each as the loser, and recolor the losers
 //!   that are locally maximal among losers — an independent set, so a
 //!   round never creates a new conflict and the globally largest loser
 //!   always acts, which makes the conflict count strictly decrease.
-//! * [`greedy_repair_host`] — the deterministic host-side fallback
-//!   shared by this loop and the multi-device resolver in
-//!   [`crate::run_sharded`] (used only if the round cap is ever hit).
+//!   (The cross-device resolver has no loser exchange: every
+//!   top-ranked endpoint recolors at once, and changers that collide
+//!   stay in its frontier.)
+//! * [`greedy_repair_host`] — the deterministic host-side pass shared
+//!   by this loop, after its round cap, and the multi-device resolver
+//!   in [`crate::run_sharded`], after its tail cutoff or round cap.
 //!
 //! Every recolor takes the smallest free color of its neighborhood,
 //! [`gc_core::reduce::mex`]: recoloring a vertex to the mex of its
@@ -66,8 +69,8 @@ pub struct RepairOutcome {
 /// Deterministic host-side repair: one ascending sweep recoloring any
 /// vertex that clashes with a smaller-id neighbor. Vertices processed
 /// earlier never change afterwards, so the sweep leaves the coloring
-/// proper. Shared cap-exceeded fallback of both the multi-device
-/// resolver and [`repair_frontier`].
+/// proper. Finishes both the multi-device resolver (after its tail
+/// cutoff or round cap) and [`repair_frontier`] (after its round cap).
 pub fn greedy_repair_host(g: &Csr, colors: &mut [u32]) {
     for v in 0..g.num_vertices() as VertexId {
         let clash = g
@@ -89,9 +92,8 @@ pub fn greedy_repair_host(g: &Csr, colors: &mut [u32]) {
 ///
 /// `colors` must be proper on every edge with **no** endpoint in
 /// `frontier`; on return it is proper everywhere. Rounds work on
-/// compacted slot lists exactly like the cross-device resolver: round 1
-/// scans the whole frontier, later rounds rescan only last round's
-/// losers.
+/// compacted slot lists: round 1 scans the whole frontier, later rounds
+/// rescan only last round's losers.
 pub fn repair_frontier(
     dev: &Device,
     g: &Csr,

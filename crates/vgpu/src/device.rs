@@ -444,12 +444,6 @@ impl Device {
             .record_async_wait(ev.cost_cycles, ev.completion_abs);
     }
 
-    /// Counts one halo-exchange round on this device's profile (the
-    /// sharded runner's per-round telemetry hook).
-    pub fn record_halo_round(&self) {
-        self.profiler.lock().unwrap().record_halo_round();
-    }
-
     fn trace_memcpy(&self, name: &str, trace_start: Option<(Instant, f64)>, bytes: u64) {
         if let Some((wall0, model0)) = trace_start {
             gc_telemetry::record_complete(
@@ -896,17 +890,6 @@ mod tests {
             overlapped.0,
             serial.0
         );
-    }
-
-    #[test]
-    fn halo_round_counter_reaches_the_profile() {
-        let dev = Device::new(DeviceConfig::test_tiny());
-        dev.record_halo_round();
-        dev.record_halo_round();
-        dev.record_halo_round();
-        assert_eq!(dev.profile().halo_rounds, 3);
-        dev.reset();
-        assert_eq!(dev.profile().halo_rounds, 0);
     }
 
     #[test]

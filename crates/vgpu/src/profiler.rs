@@ -147,9 +147,6 @@ pub struct Profiler {
     /// D2D cycles the waiting device actually stalled for (the part of
     /// an async transfer compute did *not* cover).
     d2d_stall_cycles: f64,
-    /// Halo-exchange rounds this device took part in (bumped by the
-    /// sharded runner once per conflict round).
-    halo_rounds: u64,
     /// Absolute model clock: every cycle ever billed on this device,
     /// **surviving [`Profiler::reset`]**. Async transfer completions are
     /// timestamped on this axis so an event issued before a colorer's
@@ -185,7 +182,6 @@ impl Profiler {
             pool_base: pool::stats(),
             d2d_overlapped_cycles: 0.0,
             d2d_stall_cycles: 0.0,
-            halo_rounds: 0,
             abs_cycles: 0.0,
             d2d_free_abs: 0.0,
         }
@@ -314,12 +310,6 @@ impl Profiler {
         self.d2d_stall_cycles += stall;
     }
 
-    /// Counts one halo-exchange round (the sharded runner's per-round
-    /// telemetry hook).
-    pub fn record_halo_round(&mut self) {
-        self.halo_rounds += 1;
-    }
-
     pub fn reset(&mut self) {
         let (abs, d2d_free) = (self.abs_cycles, self.d2d_free_abs);
         *self = Profiler::new();
@@ -348,7 +338,6 @@ impl Profiler {
             launch_overhead_ms: 0.0,
             d2d_overlapped_cycles: self.d2d_overlapped_cycles,
             d2d_stall_cycles: self.d2d_stall_cycles,
-            halo_rounds: self.halo_rounds,
             pool_hits: pool_now.hits - self.pool_base.hits,
             pool_misses: pool_now.misses - self.pool_base.misses,
             by_kernel: self
@@ -405,8 +394,6 @@ pub struct ProfileReport {
     /// Async peer-transfer cycles the device actually stalled for at
     /// wait points (the un-hidden remainder).
     pub d2d_stall_cycles: f64,
-    /// Halo-exchange rounds this device took part in.
-    pub halo_rounds: u64,
     /// Buffer-pool allocations served from a shelf during this device's
     /// profiling window (all threads; see [`crate::pool`]).
     pub pool_hits: u64,
@@ -419,9 +406,8 @@ pub struct ProfileReport {
 impl ProfileReport {
     /// Folds in the report of a device that ran concurrently with this
     /// one (the sharded runner's per-device profiles). Counters and cycle
-    /// totals sum; the clock and `halo_rounds` take the max, because the
-    /// devices run side by side and each takes part in every halo round;
-    /// kernel rows merge by name (see [`KernelSummary::merge`]).
+    /// totals sum; the clock takes the max, because the devices run side
+    /// by side; kernel rows merge by name (see [`KernelSummary::merge`]).
     pub fn merge(&mut self, other: &ProfileReport) {
         // Exhaustive on purpose: a new field does not compile here until
         // it is given a merge rule.
@@ -443,7 +429,6 @@ impl ProfileReport {
             launch_overhead_ms,
             d2d_overlapped_cycles,
             d2d_stall_cycles,
-            halo_rounds,
             pool_hits,
             pool_misses,
             by_kernel,
@@ -465,7 +450,6 @@ impl ProfileReport {
         self.launch_overhead_ms += launch_overhead_ms;
         self.d2d_overlapped_cycles += d2d_overlapped_cycles;
         self.d2d_stall_cycles += d2d_stall_cycles;
-        self.halo_rounds = self.halo_rounds.max(*halo_rounds);
         self.pool_hits += pool_hits;
         self.pool_misses += pool_misses;
         for (name, s) in by_kernel {
@@ -764,16 +748,13 @@ mod tests {
     }
 
     #[test]
-    fn halo_rounds_and_overlap_counters_reach_the_report() {
+    fn overlap_counters_reach_the_report() {
         let mut p = Profiler::default();
-        p.record_halo_round();
-        p.record_halo_round();
         let completion = 40.0;
         p.occupy_engine(completion);
         p.record_d2d_issue(16);
         p.record_async_wait(40.0, completion);
         let r = p.report();
-        assert_eq!(r.halo_rounds, 2);
         assert_eq!(r.d2d_overlapped_cycles, 0.0);
         assert_eq!(r.d2d_stall_cycles, 40.0);
     }
@@ -811,9 +792,8 @@ mod tests {
             launch_overhead_ms: 15.0 * f,
             d2d_overlapped_cycles: 16.0 * f,
             d2d_stall_cycles: 17.0 * f,
-            halo_rounds: 18 * k,
-            pool_hits: 19 * k,
-            pool_misses: 20 * k,
+            pool_hits: 18 * k,
+            pool_misses: 19 * k,
             by_kernel: by_kernel
                 .iter()
                 .map(|(name, s)| (name.to_string(), s.clone()))
@@ -822,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_takes_max_clock_and_halo_rounds() {
+    fn merge_sums_counters_and_takes_max_clock() {
         let mut a = report(
             1,
             &[
@@ -857,9 +837,8 @@ mod tests {
         assert_eq!(a.launch_overhead_ms, 45.0);
         assert_eq!(a.d2d_overlapped_cycles, 48.0);
         assert_eq!(a.d2d_stall_cycles, 51.0);
-        assert_eq!(a.halo_rounds, 36, "every device takes part in a round: max");
-        assert_eq!(a.pool_hits, 57);
-        assert_eq!(a.pool_misses, 60);
+        assert_eq!(a.pool_hits, 54);
+        assert_eq!(a.pool_misses, 57);
 
         let names: Vec<&str> = a.by_kernel.keys().map(String::as_str).collect();
         assert_eq!(names, ["both_later_wins", "both_tie", "only_a", "only_b"]);

@@ -111,6 +111,21 @@ done
 echo "==> net smoke: loopback submit/color/mutate/verify/shutdown round-trip"
 cargo run --release -q -p gc-bench --bin repro -- net-smoke
 
+echo "==> examples: run each example binary once"
+# clippy only compiles them; this runs them, so an example that panics
+# fails here. mtx_coloring's self-demo writes its .mtx under TMPDIR.
+example() { cargo run --release -q -p gc-examples --bin "$@" > /dev/null; }
+mkdir -p "$trace_dir/examples"
+example quickstart G3_circuit 0.02
+example service_demo 0.01 2
+example trace_demo 0.01 "$trace_dir/examples"
+for ex in chromatic_scheduling ilu_level_scheduling jacobian_compression \
+  mtx_coloring register_allocation; do
+  TMPDIR="$trace_dir/examples" example "$ex"
+done
+grep -q '^gc_service_requests_served_total ' "$trace_dir/examples/metrics.prom"
+grep -q '^gc_service_request_model_ms_count{colorer=' "$trace_dir/examples/metrics.prom"
+
 echo "==> perfbench: unit tests + smoke run of every workload"
 # perfbench is its own cargo workspace built against the crates by path:
 # API drift in the crates it drives (apply_edge_delta, Coloring, the

@@ -1,6 +1,7 @@
 //! End-to-end checks of the Table I / Table II / Figure 3 harness paths.
 
 use gc_bench::experiments::{self, ExperimentConfig};
+use gc_bench::scale_sweep::{scale_sweep, ScaleReport, ScaleRow};
 
 #[test]
 fn table1_columns_match_spec_shape() {
@@ -58,31 +59,36 @@ fn table2_reproduces_the_optimization_ladder() {
     );
 }
 
+/// One colorer's rows of a scale sweep, in ascending scale order.
+fn sweep_rows<'a>(report: &'a ScaleReport, colorer: &str) -> Vec<&'a ScaleRow> {
+    report
+        .rows
+        .iter()
+        .filter(|r| r.colorer == colorer)
+        .collect()
+}
+
 #[test]
 fn fig3_runtime_grows_and_colors_stay_flat() {
     // The sweep has to reach scale 14: below ~16k vertices Gunrock's
     // model time is still launch-overhead-bound, so the growth from the
     // smallest scale sits right at the 2x threshold.
-    let cfg = ExperimentConfig {
-        rgg_min: 8,
-        rgg_max: 14,
-        ..ExperimentConfig::smoke()
-    };
-    let rows = experiments::fig3(&cfg);
-    assert_eq!(rows.len(), 7);
-    // Runtime grows steeply with graph size...
-    assert!(rows[6].gunrock_ms > rows[0].gunrock_ms * 2.0);
-    assert!(rows[6].graphblast_ms > rows[0].graphblast_ms * 2.0);
-    // ...while color counts move slowly (paper Fig 3c/3d: 20-45 band
-    // across three orders of magnitude).
-    for r in &rows {
-        assert!(
-            r.gunrock_colors < 64,
-            "scale {}: {} colors",
-            r.scale,
-            r.gunrock_colors
-        );
-        assert!(r.graphblast_colors < 64);
+    let sweep = scale_sweep(8, 14, ExperimentConfig::smoke().seed);
+    for colorer in ["Gunrock/Color_IS", "GraphBLAST/Color_IS"] {
+        let rows = sweep_rows(&sweep, colorer);
+        assert_eq!(rows.len(), 7);
+        // Runtime grows steeply with graph size...
+        assert!(rows[6].model_ms > rows[0].model_ms * 2.0, "{colorer}");
+        // ...while color counts move slowly (paper Fig 3c/3d: 20-45 band
+        // across three orders of magnitude).
+        for r in &rows {
+            assert!(
+                r.colors < 64,
+                "{colorer} scale {}: {} colors",
+                r.scale,
+                r.colors
+            );
+        }
     }
 }
 
@@ -90,19 +96,17 @@ fn fig3_runtime_grows_and_colors_stay_flat() {
 fn fig3_gunrock_wins_small_scales() {
     // §V.E: "Gunrock does better for smaller graphs, which indicates
     // that it has lower overhead."
-    let cfg = ExperimentConfig {
-        rgg_min: 8,
-        rgg_max: 9,
-        ..ExperimentConfig::smoke()
-    };
-    let rows = experiments::fig3(&cfg);
-    for r in &rows {
+    let sweep = scale_sweep(8, 9, ExperimentConfig::smoke().seed);
+    let gunrock = sweep_rows(&sweep, "Gunrock/Color_IS");
+    let graphblast = sweep_rows(&sweep, "GraphBLAST/Color_IS");
+    assert_eq!(gunrock.len(), 2);
+    for (gr, gb) in gunrock.iter().zip(&graphblast) {
         assert!(
-            r.gunrock_ms < r.graphblast_ms,
+            gr.model_ms < gb.model_ms,
             "scale {}: gunrock {} vs graphblast {}",
-            r.scale,
-            r.gunrock_ms,
-            r.graphblast_ms
+            gr.scale,
+            gr.model_ms,
+            gb.model_ms
         );
     }
 }
