@@ -1,17 +1,25 @@
 //! Coloring results.
 
+use std::sync::Arc;
+
 /// The color assignment `C : V → N`. Colors are 1-based; `0` means
 /// "uncolored" (the GPU codes' `invalidColor`). A finished run never
 /// leaves a vertex at 0.
+///
+/// A finished coloring is never written again, so the array is shared:
+/// cloning a `Coloring` (a cache hit, a stored result, a reply) bumps a
+/// reference count instead of copying `n` colors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Coloring {
-    colors: Vec<u32>,
+    colors: Arc<[u32]>,
 }
 
 impl Coloring {
     /// Wraps a finished color array.
     pub fn new(colors: Vec<u32>) -> Self {
-        Coloring { colors }
+        Coloring {
+            colors: colors.into(),
+        }
     }
 
     /// Color of vertex `v`.
@@ -180,6 +188,14 @@ mod tests {
         let r = ColoringResult::new(vec![1, 3, 1], 4, 1.5, 10);
         assert_eq!(r.num_colors, 2);
         assert_eq!(r.iterations, 4);
+    }
+
+    #[test]
+    fn clones_share_the_color_array() {
+        let c = Coloring::new(vec![1, 2, 1]);
+        let copy = c.clone();
+        assert_eq!(copy.as_slice().as_ptr(), c.as_slice().as_ptr());
+        assert_eq!(copy, c);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! the surviving set, and the quality tier holds its bounds — the
 //! hybrid and short-cutting colorers stay proper and within their
 //! quality guarantees, and the color-reduction post-pass never makes a
-//! coloring worse under any budget.
+//! coloring worse under any budget. The local properness check agrees
+//! with the full one on colorings changed only where an edge delta
+//! touched the graph.
 
 use proptest::prelude::*;
 
-use gc_graph::{Csr, GraphBuilder};
+use gc_graph::{apply_edge_delta, Csr, EdgeDelta, GraphBuilder};
 use gc_vgpu::{primitives, Device, DeviceBuffer};
 
 use crate::color::count_distinct;
@@ -17,7 +19,7 @@ use crate::gunrock_is::{gunrock_is, IsConfig};
 use crate::hybrid::{self, HybridConfig};
 use crate::reduce::{reduce_colors, ReduceBudget};
 use crate::runner::{all_colorers, all_known_colorers};
-use crate::verify::is_proper;
+use crate::verify::{is_proper, is_proper_at};
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
     (1usize..40).prop_flat_map(|n| {
@@ -212,5 +214,53 @@ proptest! {
         let expect: std::collections::HashSet<u32> =
             colors.iter().copied().filter(|&c| c != 0).collect();
         prop_assert_eq!(count_distinct(&colors), expect.len() as u32);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The argument the incremental-repair path rests on: `c` is proper
+    // on `g`, `g'` is `g` after a random delta, and `c'` differs from
+    // `c` only at the delta's touched vertices. Then checking the
+    // touched vertices decides properness of the whole coloring. The
+    // edits leave a vertex uncolored, copy a neighbor's color, pick an
+    // arbitrary color, or take the smallest free color (a valid repair).
+    #[test]
+    fn local_check_matches_full_check_after_a_delta(
+        g in arb_graph(),
+        pairs in proptest::collection::vec((0u32..40, 0u32..40, any::<bool>()), 0..10),
+        edits in proptest::collection::vec((0u8..4, any::<usize>(), 1u32..5), 0..8),
+    ) {
+        let n = g.num_vertices() as u32;
+        let mut delta = EdgeDelta::default();
+        for (u, v, insert) in pairs {
+            let (u, v) = (u % n, v % n);
+            if u != v {
+                if insert { delta.insert.push((u, v)) } else { delta.delete.push((u, v)) }
+            }
+        }
+        let out = apply_edge_delta(&g, &delta).unwrap();
+        let h = &out.graph;
+        let mut colors = greedy(&g, Ordering::Natural, 0).coloring.as_slice().to_vec();
+        if !out.touched.is_empty() {
+            for (kind, pick, color) in edits {
+                let v = out.touched[pick % out.touched.len()];
+                let nbrs = h.neighbors(v);
+                colors[v as usize] = match kind {
+                    0 => 0,
+                    1 if !nbrs.is_empty() => colors[nbrs[pick % nbrs.len()] as usize],
+                    2 => color,
+                    _ => {
+                        let mut taken: Vec<u32> = nbrs.iter().map(|&u| colors[u as usize]).collect();
+                        crate::reduce::mex(&mut taken)
+                    }
+                };
+            }
+        }
+        prop_assert_eq!(
+            is_proper_at(h, &colors, &out.touched).is_ok(),
+            is_proper(h, &colors).is_ok()
+        );
     }
 }

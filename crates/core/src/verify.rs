@@ -42,6 +42,34 @@ pub fn is_proper(g: &Csr, colors: &[u32]) -> Result<(), Violation> {
     Ok(())
 }
 
+/// Validates `colors` at `vertices` only: none of them is uncolored and
+/// no edge with an endpoint among them is monochromatic. Costs the sum
+/// of their degrees, not `O(E)`.
+///
+/// This equals [`is_proper`] whenever the rest of the coloring is known
+/// to be proper — e.g. a coloring that was proper on the graph before
+/// an edge delta and has changed only at `vertices`, where `vertices`
+/// holds both endpoints of every inserted edge (deleting an edge cannot
+/// make a coloring improper). The incremental-repair path of `gc-net`
+/// checks its repaired colorings this way.
+pub fn is_proper_at(g: &Csr, colors: &[u32], vertices: &[u32]) -> Result<(), Violation> {
+    assert_eq!(
+        colors.len(),
+        g.num_vertices(),
+        "color array length mismatch"
+    );
+    for &v in vertices {
+        let c = colors[v as usize];
+        if c == 0 {
+            return Err(Violation::Uncolored(v));
+        }
+        if let Some(&u) = g.neighbors(v).iter().find(|&&u| colors[u as usize] == c) {
+            return Err(Violation::Conflict(u.min(v), u.max(v)));
+        }
+    }
+    Ok(())
+}
+
 /// Panics with a readable message on an invalid coloring (test helper).
 pub fn assert_proper(g: &Csr, colors: &[u32]) {
     if let Err(v) = is_proper(g, colors) {
@@ -88,6 +116,23 @@ mod tests {
         let g = complete(3);
         assert!(is_proper(&g, &[1, 2, 3]).is_ok());
         assert!(is_proper(&g, &[1, 2, 2]).is_err());
+    }
+
+    #[test]
+    fn local_check_sees_only_the_given_vertices() {
+        let g = path(4);
+        // Edge (2, 3) is monochromatic; vertex 0 is uncolored.
+        let colors = [0, 2, 1, 1];
+        assert_eq!(is_proper_at(&g, &colors, &[1]), Ok(()));
+        assert_eq!(
+            is_proper_at(&g, &colors, &[3]),
+            Err(Violation::Conflict(2, 3))
+        );
+        assert_eq!(
+            is_proper_at(&g, &colors, &[1, 0]),
+            Err(Violation::Uncolored(0))
+        );
+        assert_eq!(is_proper_at(&g, &colors, &[]), Ok(()));
     }
 
     #[test]

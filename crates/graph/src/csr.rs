@@ -5,6 +5,10 @@
 //! are `u32`, matching the 32-bit vertex ids used by Gunrock and
 //! GraphBLAST on the GPU.
 
+use std::sync::OnceLock;
+
+use crate::stats::DegreeStats;
+
 /// Vertex identifier. 32 bits, as on the GPU.
 pub type VertexId = u32;
 
@@ -19,12 +23,28 @@ pub type VertexId = u32;
 /// * no self loops;
 /// * each neighbor list is sorted and duplicate-free;
 /// * symmetric: `u ∈ adj(v) ⇔ v ∈ adj(u)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// A `Csr` is immutable once built, so per-graph values derived from it
+/// are computed once and kept with it ([`Csr::degree_stats`]). Equality
+/// is structural: two graphs with the same arrays are equal whatever
+/// either has computed so far.
+#[derive(Clone, Debug)]
 pub struct Csr {
     n: usize,
     row_offsets: Vec<usize>,
     col_indices: Vec<VertexId>,
+    degree_stats: OnceLock<DegreeStats>,
 }
+
+impl PartialEq for Csr {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.row_offsets == other.row_offsets
+            && self.col_indices == other.col_indices
+    }
+}
+
+impl Eq for Csr {}
 
 impl Csr {
     /// Builds a CSR graph directly from raw arrays.
@@ -48,11 +68,7 @@ impl Csr {
         row_offsets: Vec<usize>,
         col_indices: Vec<VertexId>,
     ) -> Result<Self, String> {
-        let g = Self {
-            n,
-            row_offsets,
-            col_indices,
-        };
+        let g = Self::from_raw_unchecked(n, row_offsets, col_indices);
         g.validate()?;
         Ok(g)
     }
@@ -69,16 +85,13 @@ impl Csr {
             n,
             row_offsets,
             col_indices,
+            degree_stats: OnceLock::new(),
         }
     }
 
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
-        Self {
-            n,
-            row_offsets: vec![0; n + 1],
-            col_indices: Vec::new(),
-        }
+        Self::from_raw_unchecked(n, vec![0; n + 1], Vec::new())
     }
 
     /// Number of vertices `n = |V|`.
@@ -209,6 +222,14 @@ impl Csr {
             .unwrap_or(0)
     }
 
+    /// Degree statistics, computed by one pass over the row offsets on
+    /// the first call and returned from the graph afterwards. A mutated
+    /// graph is a new `Csr` and computes its own on first use.
+    pub fn degree_stats(&self) -> &DegreeStats {
+        self.degree_stats
+            .get_or_init(|| DegreeStats::of(&self.row_offsets))
+    }
+
     /// Average degree `nnz / n`.
     pub fn avg_degree(&self) -> f64 {
         if self.n == 0 {
@@ -288,11 +309,24 @@ mod tests {
 
     #[test]
     fn validate_reports_unsorted() {
-        let g = Csr {
-            n: 3,
-            row_offsets: vec![0, 2, 3, 4],
-            col_indices: vec![2, 1, 0, 0],
-        };
+        let g = Csr::from_raw_unchecked(3, vec![0, 2, 3, 4], vec![2, 1, 0, 0]);
         assert!(g.validate().unwrap_err().contains("not sorted"));
+    }
+
+    #[test]
+    fn degree_stats_are_computed_once_and_ignored_by_equality() {
+        let g = GraphBuilder::new(4).edges([(0, 1), (0, 2), (0, 3)]).build();
+        assert!(g.degree_stats.get().is_none());
+        let first = g.degree_stats();
+        assert!(
+            std::ptr::eq(first, g.degree_stats()),
+            "the second read returns the memoized value"
+        );
+        assert_eq!((first.min, first.max, first.avg), (1, 3, 1.5));
+        // A fresh copy of the same arrays has computed nothing yet and
+        // still compares equal.
+        let fresh = Csr::from_raw(4, g.row_offsets().to_vec(), g.col_indices().to_vec());
+        assert!(fresh.degree_stats.get().is_none());
+        assert_eq!(fresh, g);
     }
 }

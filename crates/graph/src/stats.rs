@@ -37,30 +37,43 @@ pub struct GraphStats {
 /// Default sample size used by the paper ("samples from 10,000 vertices").
 pub const DIAMETER_SAMPLES: usize = 10_000;
 
+/// Degree statistics of `g`: computed on the first call and kept with
+/// the graph (see [`Csr::degree_stats`]), so later calls are free.
 pub fn degree_stats(g: &Csr) -> DegreeStats {
-    let n = g.num_vertices();
-    if n == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            avg: 0.0,
-            std_dev: 0.0,
-        };
-    }
-    let degrees: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
-    let min = *degrees.iter().min().unwrap();
-    let max = *degrees.iter().max().unwrap();
-    let avg = degrees.iter().sum::<usize>() as f64 / n as f64;
-    let var = degrees
-        .iter()
-        .map(|&d| (d as f64 - avg).powi(2))
-        .sum::<f64>()
-        / n as f64;
-    DegreeStats {
-        min,
-        max,
-        avg,
-        std_dev: var.sqrt(),
+    *g.degree_stats()
+}
+
+impl DegreeStats {
+    /// The statistics of the degrees `row_offsets[v + 1] - row_offsets[v]`,
+    /// in one pass without allocating. Sums are exact integers: `avg` is
+    /// the degree sum over `n`, and the variance is `(n·Σd² − (Σd)²) / n²`
+    /// with numerator and denominator exact before the division.
+    pub(crate) fn of(row_offsets: &[usize]) -> Self {
+        let n = row_offsets.len().saturating_sub(1);
+        if n == 0 {
+            return DegreeStats {
+                min: 0,
+                max: 0,
+                avg: 0.0,
+                std_dev: 0.0,
+            };
+        }
+        let (mut min, mut max, mut sum, mut sum_sq) = (usize::MAX, 0, 0u128, 0u128);
+        for w in row_offsets.windows(2) {
+            let d = w[1] - w[0];
+            min = min.min(d);
+            max = max.max(d);
+            sum += d as u128;
+            sum_sq += (d as u128) * (d as u128);
+        }
+        let n_exact = n as u128;
+        let var = (n_exact * sum_sq - sum * sum) as f64 / (n_exact * n_exact) as f64;
+        DegreeStats {
+            min,
+            max,
+            avg: sum as f64 / n as f64,
+            std_dev: var.sqrt(),
+        }
     }
 }
 
@@ -115,6 +128,23 @@ mod tests {
         assert_eq!(s.min, 2);
         assert_eq!(s.max, 2);
         assert_eq!(s.std_dev, 0.0);
+    }
+
+    #[test]
+    fn one_pass_matches_two_pass_definition() {
+        for g in [
+            star(9),
+            path(7),
+            crate::generators::barabasi_albert(500, 3, 7),
+        ] {
+            let degrees: Vec<f64> = g.vertices().map(|v| g.degree(v) as f64).collect();
+            let n = degrees.len() as f64;
+            let avg = g.num_directed_edges() as f64 / n;
+            let var = degrees.iter().map(|d| (d - avg).powi(2)).sum::<f64>() / n;
+            let s = degree_stats(&g);
+            assert_eq!(s.avg, avg, "the mean is the exact degree sum over n");
+            assert!((s.std_dev - var.sqrt()).abs() <= 1e-12 * var.sqrt().max(1.0));
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! actually changed, and runs `gc_shard`'s speculate-recolor loop
 //! ([`gc_shard::repair_frontier`]) on the device — touching only the
 //! frontier and whatever conflicts cascade from it, not all `n`
-//! vertices. The repaired coloring is re-verified and carried into the
-//! service's result cache under the new lineage fingerprint
+//! vertices. The repaired coloring is re-verified — at the touched
+//! vertices after a clean repair ([`gc_core::verify::is_proper_at`]),
+//! in full after the host fallback — and moved in the service's result
+//! cache to the new lineage fingerprint
 //! ([`gc_service::ServiceHandle::revalidate_cached`]), so the next
 //! `Color` for the mutated graph is a cache hit.
 
@@ -28,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gc_core::verify::is_proper;
+use gc_core::verify::{is_proper, is_proper_at};
 use gc_graph::{apply_edge_delta, Csr};
 use gc_service::{
     lineage_fingerprint, CacheKey, ColorRequest, ColorResponse, ColoringService, Objective,
@@ -602,15 +604,16 @@ fn handle_get_result(
         Ok(e) => e,
         Err(m) => return send_error(writer, ErrCode::UnknownGraph, m),
     };
-    let payload = {
+    // Only a reference to the shared coloring is taken under the lock;
+    // the body is encoded from it after the lock is released.
+    let (version, num_colors, coloring) = {
         let e = entry.lock().unwrap();
         match &e.stored {
-            Some(s) => ResultPayload {
-                graph_id: msg.graph_id,
-                version: e.version,
-                num_colors: s.response.num_colors,
-                colors: s.response.coloring.as_slice().to_vec(),
-            },
+            Some(s) => (
+                e.version,
+                s.response.num_colors,
+                s.response.coloring.clone(),
+            ),
             None => {
                 drop(e);
                 return send_error(
@@ -621,7 +624,8 @@ fn handle_get_result(
             }
         }
     };
-    respond(writer, VERB_GET_RESULT_OK, &payload.encode())
+    let body = ResultPayload::encode_parts(msg.graph_id, version, num_colors, coloring.as_slice());
+    respond(writer, VERB_GET_RESULT_OK, &body)
 }
 
 fn handle_mutate(
@@ -662,8 +666,8 @@ fn handle_mutate(
     // satisfies the `repair_frontier` contract. Conflicts that cascade
     // are picked up by the loop's later rounds.
     let mut repair_stats = (0u32, 0u32, 0u32, 0u64, 0u32, false); // frontier, rounds, recolored, executions, num_colors, revalidated
-    if let Some(stored) = e.stored.take() {
-        let mut colors = stored.response.coloring.as_slice().to_vec();
+    if let Some(Stored { key, response }) = e.stored.take() {
+        let mut colors = response.coloring.as_slice().to_vec();
         // A fresh device per repair: its profile covers exactly this
         // repair.
         let dev = Device::k40c();
@@ -675,7 +679,24 @@ fn handle_mutate(
             MAX_REPAIR_ROUNDS,
         );
         let executions = dev.profile().thread_executions;
-        if is_proper(&new_graph, &colors).is_err() {
+        // The stored coloring was proper on the old graph; deleting an
+        // edge cannot break that, and an inserted edge has both
+        // endpoints in `touched`. A clean repair recolored only scanned
+        // vertices, which are touched ones, so checking the touched
+        // vertices decides properness of the whole coloring. The host
+        // fallback after a blown round cap sweeps the whole graph and
+        // gets the full check.
+        let verified = if repair.clean {
+            is_proper_at(&new_graph, &colors, &outcome.touched)
+        } else {
+            is_proper(&new_graph, &colors)
+        };
+        debug_assert_eq!(
+            verified.is_ok(),
+            is_proper(&new_graph, &colors).is_ok(),
+            "the local check must agree with the full one"
+        );
+        if verified.is_err() {
             // Repair failed to produce a proper coloring (cannot happen
             // under the frontier contract; defensive): drop the stored
             // result, apply the mutation, report no repair.
@@ -689,21 +710,21 @@ fn handle_mutate(
                 "incremental repair produced an improper coloring",
             );
         }
-        let mut repaired = stored.response.clone();
+        let mut repaired = response;
         repaired.coloring = gc_core::color::Coloring::new(colors);
         repaired.num_colors = repaired.coloring.num_colors();
         repaired.cache_hit = false;
         repaired.verified = true;
         let new_key = CacheKey {
             graph_fp: new_fp,
-            ..stored.key.clone()
+            ..key.clone()
         };
         // Carry the cached entry across the mutation: next Color on
-        // this lineage is a cache hit instead of a recolor.
-        let revalidated =
-            shared
-                .handle
-                .revalidate_cached(&stored.key, new_key.clone(), repaired.clone());
+        // this lineage is a cache hit instead of a recolor. The clone
+        // shares the repaired color array.
+        let revalidated = shared
+            .handle
+            .revalidate_cached(&key, new_key.clone(), repaired.clone());
         repair_stats = (
             outcome.touched.len() as u32,
             repair.rounds,

@@ -52,6 +52,35 @@ fn submit_color_get_result_roundtrip() {
     server.stop();
 }
 
+/// The server encodes GetResult from the shared stored coloring; its
+/// frame body must be byte-for-byte the canonical payload encoding of
+/// the coloring the same colorer and seed produce in-process.
+#[test]
+fn get_result_body_is_the_canonical_payload_encoding() {
+    let (server, mut client) = start_server();
+    let g = mesh();
+    client.submit_graph(4, &g).unwrap();
+    let summary = client.color(4, WireObjective::Balanced, 9, 0).unwrap();
+    let colorer = gc_core::runner::colorer_by_name(&summary.colorer).unwrap();
+    let expected = ResultPayload {
+        graph_id: 4,
+        version: 0,
+        num_colors: summary.num_colors,
+        colors: colorer.run(&g, 9).coloring.as_slice().to_vec(),
+    }
+    .encode();
+    let mut raw = NetClientRaw::connect(server.local_addr());
+    match raw.call(VERB_GET_RESULT, &GetResult { graph_id: 4 }.encode()) {
+        ReplyOrError::Ok(verb, body) => {
+            assert_eq!(verb, VERB_GET_RESULT_OK);
+            assert_eq!(body.len(), expected.len());
+            assert!(body == expected, "GetResult body differs from the encoding");
+        }
+        other => panic!("expected a result frame, got {other:?}"),
+    }
+    server.stop();
+}
+
 #[test]
 fn min_colors_over_tcp_reports_post_pass_fields() {
     let (server, mut client) = start_server();
@@ -412,7 +441,6 @@ struct NetClientRaw {
 #[derive(Debug)]
 enum ReplyOrError {
     /// `(verb, body)` of a non-error reply frame.
-    #[allow(dead_code)] // carried for Debug output in assertion failures
     Ok(u8, Vec<u8>),
     Err(ErrorFrame),
     Dead,

@@ -620,13 +620,22 @@ pub struct ResultPayload {
 
 impl ResultPayload {
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28 + self.colors.len() * 4);
-        push_u64(&mut out, self.graph_id);
-        push_u64(&mut out, self.version);
-        push_u32(&mut out, self.num_colors);
-        push_u64(&mut out, self.colors.len() as u64);
-        for &c in &self.colors {
-            push_u32(&mut out, c);
+        Self::encode_parts(self.graph_id, self.version, self.num_colors, &self.colors)
+    }
+
+    /// The body [`ResultPayload::encode`] writes, from a borrowed color
+    /// array: the server encodes a stored coloring straight into the
+    /// frame body, with no owned copy in between.
+    pub fn encode_parts(graph_id: u64, version: u64, num_colors: u32, colors: &[u32]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(28 + colors.len() * 4);
+        push_u64(&mut out, graph_id);
+        push_u64(&mut out, version);
+        push_u32(&mut out, num_colors);
+        push_u64(&mut out, colors.len() as u64);
+        let start = out.len();
+        out.resize(start + colors.len() * 4, 0);
+        for (bytes, &c) in out[start..].chunks_exact_mut(4).zip(colors) {
+            bytes.copy_from_slice(&c.to_le_bytes());
         }
         out
     }

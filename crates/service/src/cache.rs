@@ -4,10 +4,10 @@
 //! pattern, the same circuit netlist, the same mesh arrives again and
 //! again. Every algorithm here is deterministic given (graph, seed), so
 //! a repeated request can be served without recomputation. The key is a
-//! 64-bit FNV-1a fingerprint of the CSR structure (vertex count, row
-//! offsets, column indices) combined with the resolved implementation
-//! name and seed — two graphs that differ anywhere in their adjacency
-//! structure fingerprint differently.
+//! 64-bit fingerprint of the CSR structure (vertex count, row offsets,
+//! column indices) combined with the resolved implementation name and
+//! seed — two graphs that differ anywhere in their adjacency structure
+//! fingerprint differently.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -15,10 +15,11 @@ use std::sync::Mutex;
 
 use gc_graph::{Csr, EdgeDelta};
 
-/// 64-bit FNV-1a over the CSR structure. Stable across runs (no
-/// per-process hash seeding), so cache behaviour is reproducible.
+/// 64-bit hash of the CSR structure, mixed in one word per step.
+/// Stable across runs (no per-process hash seeding), so cache behaviour
+/// is reproducible.
 pub fn graph_fingerprint(g: &Csr) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Mix::new();
     h.write_u64(g.num_vertices() as u64);
     for &r in g.row_offsets() {
         h.write_u64(r as u64);
@@ -44,7 +45,7 @@ pub fn graph_fingerprint(g: &Csr) -> u64 {
 /// matter (pairs are normalized to `(min, max)`), but the order of
 /// deltas in the history does.
 pub fn lineage_fingerprint(parent_fp: u64, delta: &EdgeDelta) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Mix::new();
     h.write_u64(parent_fp);
     h.write_u64(delta.insert.len() as u64);
     h.write_u64(delta.delete.len() as u64);
@@ -80,18 +81,21 @@ pub struct CacheKey {
     pub reduce_budget_ms: Option<u64>,
 }
 
-struct Fnv(u64);
+/// Word-at-a-time hash: each `u64` is folded in by xor, then the state
+/// goes through the SplitMix64 finalizer, a bijection in which every
+/// input bit flips each output bit with probability about 1/2.
+struct Mix(u64);
 
-impl Fnv {
+impl Mix {
     fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
+        Mix(0xcbf2_9ce4_8422_2325)
     }
 
     fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
+        let mut z = self.0 ^ x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
     }
 
     fn finish(&self) -> u64 {
@@ -104,7 +108,11 @@ impl Fnv {
 /// Recency is tracked with a monotonically-stamped queue: each `get` or
 /// `insert` pushes a fresh `(key, stamp)` entry, and eviction pops stale
 /// queue entries until it finds one whose stamp matches the live map —
-/// amortized O(1) per operation without a linked list.
+/// amortized O(1) per operation without a linked list. Hits never
+/// evict, so the queue also drops its stale entries whenever it holds
+/// more than two per live key (plus a constant): what is left is one
+/// entry per key, and the sweep is paid for by the pushes since the
+/// last one.
 pub struct LruCache<V> {
     inner: Mutex<LruInner<V>>,
     capacity: usize,
@@ -119,6 +127,25 @@ struct LruInner<V> {
 struct Entry<V> {
     value: V,
     stamp: u64,
+}
+
+/// Longest the recency queue may grow for a map of `live` keys before
+/// its stale entries are swept.
+fn queue_bound(live: usize) -> usize {
+    2 * live + 16
+}
+
+impl<V> LruInner<V> {
+    /// Records a touch of `key` at `stamp`, sweeping stale entries once
+    /// the queue outgrows [`queue_bound`].
+    fn touch(&mut self, key: CacheKey, stamp: u64) {
+        self.recency.push_back((key, stamp));
+        if self.recency.len() > queue_bound(self.map.len()) {
+            let map = &self.map;
+            self.recency
+                .retain(|(k, s)| map.get(k).is_some_and(|e| e.stamp == *s));
+        }
+    }
 }
 
 impl<V: Clone> LruCache<V> {
@@ -158,9 +185,15 @@ impl<V: Clone> LruCache<V> {
             None => None,
         };
         if hit.is_some() {
-            inner.recency.push_back((key.clone(), stamp));
+            inner.touch(key.clone(), stamp);
         }
         hit
+    }
+
+    /// Removes `key`, returning its value if it was cached.
+    pub fn remove(&self, key: &CacheKey) -> Option<V> {
+        // Its recency entry goes stale and is swept like any other.
+        self.inner.lock().unwrap().map.remove(key).map(|e| e.value)
     }
 
     pub fn insert(&self, key: CacheKey, value: V) {
@@ -171,7 +204,7 @@ impl<V: Clone> LruCache<V> {
         inner.clock += 1;
         let stamp = inner.clock;
         inner.map.insert(key.clone(), Entry { value, stamp });
-        inner.recency.push_back((key, stamp));
+        inner.touch(key, stamp);
         while inner.map.len() > self.capacity {
             let Some((old_key, old_stamp)) = inner.recency.pop_front() else {
                 break;
@@ -193,6 +226,7 @@ impl<V: Clone> LruCache<V> {
 mod tests {
     use super::*;
     use gc_graph::generators::{cycle, path};
+    use proptest::prelude::*;
 
     fn key(fp: u64) -> CacheKey {
         CacheKey {
@@ -253,6 +287,36 @@ mod tests {
     }
 
     #[test]
+    fn recency_queue_stays_bounded_under_hits() {
+        let cache = LruCache::new(1);
+        cache.insert(key(1), 1);
+        for _ in 0..100_000 {
+            assert_eq!(cache.get(&key(1)), Some(1));
+        }
+        let inner = cache.inner.lock().unwrap();
+        assert!(
+            inner.recency.len() <= queue_bound(inner.map.len()),
+            "{} queue entries for {} key",
+            inner.recency.len(),
+            inner.map.len()
+        );
+    }
+
+    #[test]
+    fn remove_drops_the_entry() {
+        let cache = LruCache::new(2);
+        cache.insert(key(1), 1);
+        cache.insert(key(2), 2);
+        assert_eq!(cache.remove(&key(1)), Some(1));
+        assert_eq!(cache.remove(&key(1)), None);
+        assert_eq!(cache.len(), 1);
+        // The removed key's stale recency entry never evicts a live one.
+        cache.insert(key(3), 3);
+        assert_eq!(cache.get(&key(2)), Some(2));
+        assert_eq!(cache.get(&key(3)), Some(3));
+    }
+
+    #[test]
     fn get_returns_inserted_value() {
         let cache = LruCache::new(4);
         cache.insert(key(1), "one");
@@ -289,6 +353,30 @@ mod tests {
         cache.insert(key(1), 1);
         assert_eq!(cache.get(&key(1)), None);
         assert!(cache.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Inserting or deleting any single edge moves the structural
+        /// fingerprint.
+        #[test]
+        fn one_edge_changes_the_fingerprint(
+            n in 2usize..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40), 0..120),
+            pair in (0u32..40, 0u32..40),
+        ) {
+            let edges = edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32));
+            let g = gc_graph::GraphBuilder::new(n).edges(edges).build();
+            let (u, v) = (pair.0 % n as u32, (pair.0 + 1 + pair.1 % (n as u32 - 1)) % n as u32);
+            let delta = if g.has_edge(u, v) {
+                EdgeDelta { insert: vec![], delete: vec![(u, v)] }
+            } else {
+                EdgeDelta { insert: vec![(u, v)], delete: vec![] }
+            };
+            let h = gc_graph::apply_edge_delta(&g, &delta).unwrap().graph;
+            prop_assert_ne!(graph_fingerprint(&g), graph_fingerprint(&h));
+        }
     }
 
     #[test]

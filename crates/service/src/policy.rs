@@ -36,7 +36,9 @@ use gc_graph::Csr;
 use crate::request::{Objective, ServiceError};
 
 /// Cheap per-graph features the policy decides on. Degree statistics are
-/// O(V); nothing here runs BFS or touches the edge list twice.
+/// one O(V) pass over the row offsets on a graph's first request and
+/// are read from the graph afterwards ([`gc_graph::Csr::degree_stats`]);
+/// nothing here runs BFS or touches the edge list.
 #[derive(Clone, Copy, Debug)]
 pub struct GraphFeatures {
     pub vertices: usize,

@@ -25,6 +25,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use gc_core::verify::is_proper;
+use gc_graph::{Csr, Partition, PartitionStrategy};
 
 use crate::cache::{graph_fingerprint, CacheKey, LruCache};
 use crate::policy;
@@ -298,22 +299,30 @@ impl ServiceHandle {
     /// this with the old cache key, the new key (same colorer/seed/
     /// devices, `graph_fp` advanced along the version lineage via
     /// [`crate::cache::lineage_fingerprint`]), and the repaired, already
-    /// re-verified response. The entry is inserted under the new key, so
-    /// the next [`ColorRequest::with_fingerprint`] request for the
-    /// mutated graph is a cache hit — no from-scratch recolor.
+    /// re-verified response. The entry moves: it is removed under the old
+    /// key and inserted under the new one, so the next
+    /// [`ColorRequest::with_fingerprint`] request for the mutated graph is
+    /// a cache hit — no from-scratch recolor — and the superseded version
+    /// no longer holds a cache slot.
     ///
     /// The caller owns the proof obligations: `response.coloring` must
     /// be proper on the *new* graph, and `new_key.graph_fp` must
     /// identify it. Returns whether the old entry existed (the
     /// revalidated-stats counter only moves for genuine carries; a miss
     /// still inserts, which is harmless — it just warms the cache).
+    ///
+    /// One visible consequence of the move: two tracked graphs whose
+    /// version-0 structures are identical share one cache entry (their
+    /// structural fingerprints are equal). Mutating one moves that entry
+    /// to its new version, so the other's next `Color` misses, recolors
+    /// and verifies afresh.
     pub fn revalidate_cached(
         &self,
         old_key: &CacheKey,
         new_key: CacheKey,
         response: ColorResponse,
     ) -> bool {
-        let had_old = self.cache.get(old_key).is_some();
+        let had_old = self.cache.remove(old_key).is_some();
         let mut stored = response;
         // Stored entries are canonical misses; `cache_hit` is set on get.
         stored.cache_hit = false;
@@ -352,6 +361,7 @@ fn worker_loop(
     // the first for a given graph shape reuses the previous request's
     // allocations instead of fresh host allocations.
     gc_vgpu::pool::enable_for_thread();
+    let mut partition = PartitionMemo::default();
     loop {
         // Hold the receiver lock only for the dequeue itself so other
         // workers can pull jobs while this one colors.
@@ -365,9 +375,33 @@ fn worker_loop(
             // keep-alive) was dropped: exit.
             Ok(Job::Stop) | Err(_) => return,
         };
-        let outcome = handle_job(&item, &stats, &cache, devices);
+        let outcome = handle_job(&item, &stats, &cache, devices, &mut partition);
         // A dropped ticket just means the caller stopped waiting.
         let _ = item.reply.send(outcome);
+    }
+}
+
+/// What determines a partition: the graph's fingerprint, the device
+/// count and the strategy.
+type PartitionKey = (u64, usize, PartitionStrategy);
+
+/// The last partition a worker built. Sharded requests for one graph
+/// version differ only in their seed, so they share it. A mutated graph
+/// has a new lineage fingerprint and simply misses; one entry per
+/// worker needs no lock and no capacity knob.
+#[derive(Default)]
+struct PartitionMemo(Option<(PartitionKey, Partition)>);
+
+impl PartitionMemo {
+    /// The partition of `g` (fingerprinted `graph_fp`) for `cfg`, built
+    /// only when the last one was for another graph or shape.
+    fn get(&mut self, g: &Csr, graph_fp: u64, cfg: &gc_shard::ShardedConfig) -> &Partition {
+        let key = (graph_fp, cfg.devices, cfg.strategy);
+        if !matches!(&self.0, Some((k, _)) if *k == key) {
+            let _partition = gc_telemetry::span("partition");
+            self.0 = Some((key, Partition::with_strategy(g, cfg.devices, cfg.strategy)));
+        }
+        &self.0.as_ref().expect("memo was just filled").1
     }
 }
 
@@ -376,6 +410,7 @@ fn handle_job(
     stats: &ServiceStats,
     cache: &ResultCache,
     devices: usize,
+    partition: &mut PartitionMemo,
 ) -> Result<ColorResponse, ServiceError> {
     let dequeued_at = Instant::now();
     stats.on_dequeued();
@@ -406,6 +441,11 @@ fn handle_job(
     let colorer = {
         let mut decide = gc_telemetry::span("policy_decide");
         let feats = policy::features(&req.graph);
+        if decide.is_recording() {
+            decide.attr("vertices", feats.vertices);
+            decide.attr("avg_degree", format!("{:.3}", feats.avg_degree));
+            decide.attr("degree_cv", format!("{:.3}", feats.degree_cv));
+        }
         match policy::choose(&feats, &req.objective) {
             Ok(c) => {
                 decide.attr("colorer", c.name());
@@ -490,7 +530,9 @@ fn handle_job(
                 verify: false,
                 ..gc_shard::ShardedConfig::new(devices)
             };
-            let sharded = gc_shard::run_sharded(&colorer, &req.graph, req.seed, &cfg);
+            let partition = partition.get(&req.graph, graph_fp, &cfg);
+            let sharded =
+                gc_shard::run_sharded_with(&colorer, &req.graph, partition, req.seed, &cfg);
             stats.on_sharded(
                 sharded.conflict_rounds,
                 sharded.changed_boundary,
@@ -647,6 +689,11 @@ mod tests {
         assert!(!first.cache_hit);
         assert!(second.cache_hit);
         assert_eq!(first.coloring.as_slice(), second.coloring.as_slice());
+        assert_eq!(
+            first.coloring.as_slice().as_ptr(),
+            second.coloring.as_slice().as_ptr(),
+            "a hit shares the cached color array instead of copying it"
+        );
         assert_eq!(first.model_ms, second.model_ms);
         let snap = svc.stats();
         assert_eq!(snap.served, 2);
@@ -713,6 +760,50 @@ mod tests {
             .unwrap();
         assert!(second.cache_hit, "revalidated entry must hit");
         assert_eq!(svc.stats().revalidated, 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn revalidation_moves_the_entry_to_the_new_key() {
+        use crate::cache::lineage_fingerprint;
+        use gc_graph::EdgeDelta;
+
+        let svc = ColoringService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let h = svc.handle();
+        let g = mesh();
+        let base_fp = graph_fingerprint(&g);
+        let request =
+            || ColorRequest::new(Arc::clone(&g), Objective::Fastest).with_fingerprint(base_fp);
+        let first = h.color(request()).unwrap();
+        assert_eq!(svc.cache_len(), 1);
+
+        let old_key = CacheKey {
+            graph_fp: base_fp,
+            colorer: first.colorer,
+            seed: 0,
+            devices: 1,
+            reduce_budget_ms: None,
+        };
+        let delta = EdgeDelta {
+            insert: vec![(0, 2)],
+            delete: vec![],
+        };
+        let new_key = CacheKey {
+            graph_fp: lineage_fingerprint(base_fp, &delta),
+            ..old_key.clone()
+        };
+        assert!(h.revalidate_cached(&old_key, new_key, first.clone()));
+        assert_eq!(svc.cache_len(), 1, "the entry moved; it was not copied");
+        assert_eq!(svc.stats().revalidated, 1);
+
+        // The superseded version's key no longer hits: its next request
+        // recolors and verifies afresh.
+        let again = h.color(request()).unwrap();
+        assert!(!again.cache_hit, "the old key must miss after the move");
+        assert!(again.verified);
         svc.shutdown();
     }
 
@@ -957,6 +1048,41 @@ mod tests {
     }
 
     #[test]
+    fn sharded_requests_on_one_graph_match_direct_runs() {
+        // One worker, so the second request reuses the first one's
+        // partition; each must still equal a fresh `run_sharded`.
+        let svc = ColoringService::start(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            }
+            .devices(2),
+        );
+        let h = svc.handle();
+        let g = mesh();
+        let cfg = gc_shard::ShardedConfig {
+            verify: false,
+            ..gc_shard::ShardedConfig::new(2)
+        };
+        for seed in [5u64, 6] {
+            let resp = h
+                .color(ColorRequest::new(Arc::clone(&g), Objective::Balanced).with_seed(seed))
+                .unwrap();
+            assert!(!resp.cache_hit);
+            let colorer = gc_core::runner::colorer_by_name(resp.colorer).unwrap();
+            let direct = gc_shard::run_sharded(&colorer, &g, seed, &cfg);
+            assert_eq!(resp.coloring, direct.result.coloring, "seed {seed}");
+            assert_eq!(resp.conflict_rounds, direct.conflict_rounds, "seed {seed}");
+            assert_eq!(
+                resp.halo_bytes_delta, direct.halo_bytes_delta,
+                "seed {seed}"
+            );
+            assert_eq!(resp.model_ms, direct.result.model_ms, "seed {seed}");
+        }
+        svc.shutdown();
+    }
+
+    #[test]
     fn cpu_colorers_ignore_the_device_count() {
         let svc = ColoringService::start(ServiceConfig::default().devices(4));
         let h = svc.handle();
@@ -1011,6 +1137,7 @@ mod tests {
         );
         let h = svc.handle();
         let g = mesh();
+        let g_vertices = g.num_vertices();
         h.color(ColorRequest::new(Arc::clone(&g), Objective::Fastest))
             .unwrap();
         // Same (graph, seed, colorer): a cache hit.
@@ -1040,6 +1167,25 @@ mod tests {
                 request.id
             );
         }
+        // The policy span records the features it decided on.
+        let decide = records
+            .iter()
+            .find(|r| r.name == "policy_decide" && r.parent == Some(request.id))
+            .unwrap();
+        let attr = |k: &str| {
+            decide
+                .attrs
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v.clone())
+                .unwrap_or_else(|| panic!("policy_decide has no {k}"))
+        };
+        assert_eq!(attr("vertices"), g_vertices.to_string());
+        assert_eq!(attr("colorer"), "Naumov/Color_CC");
+        let avg: f64 = attr("avg_degree").parse().unwrap();
+        assert!((3.0..4.0).contains(&avg), "avg_degree {avg}");
+        let cv: f64 = attr("degree_cv").parse().unwrap();
+        assert!((0.0..0.2).contains(&cv), "degree_cv {cv}");
         // The queue-wait child is contained in the backdated request span.
         let qw = records
             .iter()

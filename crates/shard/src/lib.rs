@@ -197,6 +197,31 @@ impl ShardedResult {
     }
 }
 
+/// Whether a run of `colorer` on `g` is sharded: CPU colorers have no
+/// device to shard over, and an empty graph has nothing to split.
+fn is_shardable(colorer: &Colorer, g: &Csr) -> bool {
+    colorer.is_gpu() && g.num_vertices() > 0
+}
+
+/// The plain single-device run, reported as a one-device sharded result.
+fn run_unsharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -> ShardedResult {
+    let result = colorer.run(g, seed);
+    let verified = !cfg.verify || is_proper(g, result.coloring.as_slice()).is_ok();
+    ShardedResult {
+        result,
+        devices: 1,
+        conflict_rounds: 0,
+        halo_bytes: 0,
+        halo_bytes_delta: 0,
+        overlap_ratio: 0.0,
+        changed_boundary: 0,
+        boundary_vertices: 0,
+        cut_edges: 0,
+        verified,
+        per_device: Vec::new(),
+    }
+}
+
 /// SplitMix64-style per-shard seed. Shard seeds must be decorrelated
 /// (shards run the same hash/random kernels on overlapping id ranges)
 /// yet a pure function of the inputs; with one shard the caller's seed
@@ -215,32 +240,51 @@ fn shard_seed(seed: u64, devices: usize, shard: usize) -> u64 {
 /// Colors `g` across `cfg.devices` simulated devices and merges the
 /// result. CPU colorers have no device to shard over, so they fall back
 /// to the plain single-device run (reported as `devices = 1`).
+///
+/// Partitions `g` with `cfg.strategy` and hands the partition to
+/// [`run_sharded_with`]; a caller that colors one graph repeatedly can
+/// partition once and call that instead.
 pub fn run_sharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -> ShardedResult {
-    if !colorer.is_gpu() || g.num_vertices() == 0 {
-        let result = colorer.run(g, seed);
-        let verified = !cfg.verify || is_proper(g, result.coloring.as_slice()).is_ok();
-        return ShardedResult {
-            result,
-            devices: 1,
-            conflict_rounds: 0,
-            halo_bytes: 0,
-            halo_bytes_delta: 0,
-            overlap_ratio: 0.0,
-            changed_boundary: 0,
-            boundary_vertices: 0,
-            cut_edges: 0,
-            verified,
-            per_device: Vec::new(),
-        };
+    if !is_shardable(colorer, g) {
+        return run_unsharded(colorer, g, seed, cfg);
     }
+    let partition = {
+        let _span = gc_telemetry::span("partition");
+        Partition::with_strategy(g, cfg.devices, cfg.strategy)
+    };
+    run_sharded_with(colorer, g, &partition, seed, cfg)
+}
+
+/// [`run_sharded`] on a partition the caller already built. The result
+/// is bit-identical to `run_sharded` when `partition` is
+/// `Partition::with_strategy(g, cfg.devices, cfg.strategy)`.
+///
+/// # Panics
+///
+/// Panics if `partition` does not have `cfg.devices` shards. It must
+/// partition `g` itself: a partition of another graph yields a wrong
+/// coloring (which `cfg.verify` reports) or an out-of-range panic.
+pub fn run_sharded_with(
+    colorer: &Colorer,
+    g: &Csr,
+    partition: &Partition,
+    seed: u64,
+    cfg: &ShardedConfig,
+) -> ShardedResult {
+    if !is_shardable(colorer, g) {
+        return run_unsharded(colorer, g, seed, cfg);
+    }
+    assert_eq!(
+        partition.num_shards(),
+        cfg.devices,
+        "the partition must have one shard per device"
+    );
 
     let mut span = gc_telemetry::span("shard");
     span.attr("colorer", colorer.name());
     span.attr("devices", cfg.devices);
     span.attr("strategy", format!("{:?}", cfg.strategy));
     span.attr("delta_halo", cfg.delta_halo);
-
-    let partition = Partition::with_strategy(g, cfg.devices, cfg.strategy);
     span.attr("boundary_vertices", partition.boundary_vertices());
     span.attr("cut_edges", partition.cut_edges());
 
@@ -294,7 +338,7 @@ pub fn run_sharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -
             ..ResolveStats::default()
         }
     } else {
-        resolve_conflicts(&partition, &devices, &mut colors, cfg)
+        resolve_conflicts(partition, &devices, &mut colors, cfg)
     };
 
     let per_device: Vec<DeviceReport> = partition

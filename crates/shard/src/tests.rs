@@ -6,11 +6,11 @@ use proptest::prelude::*;
 
 use gc_core::runner::{all_colorers, colorer_by_name, Colorer};
 use gc_core::verify::is_proper;
-use gc_graph::{generators, Csr, GraphBuilder};
+use gc_graph::{generators, Csr, GraphBuilder, Partition};
 
 use gc_graph::PartitionStrategy;
 
-use crate::{run_sharded, ShardedConfig, MAX_CONFLICT_ROUNDS};
+use crate::{run_sharded, run_sharded_with, ShardedConfig, MAX_CONFLICT_ROUNDS};
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
     (1usize..40).prop_flat_map(|n| {
@@ -233,6 +233,39 @@ fn merged_profile_counts_every_device_kernel() {
         );
         let per_device: u64 = sharded.per_device.iter().map(|d| d.thread_executions).sum();
         assert_eq!(p.thread_executions, per_device, "{n} devices");
+    }
+}
+
+/// A partition built once and handed to `run_sharded_with` gives the
+/// run `run_sharded` gives, for every strategy and several seeds on the
+/// same partition.
+#[test]
+fn run_sharded_with_a_prebuilt_partition_is_bit_identical() {
+    let g = generators::grid2d(40, 40, generators::Stencil2d::NinePoint);
+    let c = colorer_by_name("Gunrock/Color_IS").unwrap();
+    for strategy in [PartitionStrategy::BfsGrown, PartitionStrategy::Contiguous] {
+        for devices in [2usize, 4] {
+            let cfg = ShardedConfig {
+                strategy,
+                ..ShardedConfig::new(devices)
+            };
+            let partition = Partition::with_strategy(&g, devices, strategy);
+            for seed in [1u64, 2, 3] {
+                let direct = run_sharded(&c, &g, seed, &cfg);
+                let reused = run_sharded_with(&c, &g, &partition, seed, &cfg);
+                let what = format!("{strategy:?} devices={devices} seed={seed}");
+                assert_eq!(reused.result.coloring, direct.result.coloring, "{what}");
+                assert_eq!(reused.conflict_rounds, direct.conflict_rounds, "{what}");
+                assert_eq!(reused.halo_bytes, direct.halo_bytes, "{what}");
+                assert_eq!(reused.halo_bytes_delta, direct.halo_bytes_delta, "{what}");
+                assert_eq!(
+                    reused.result.model_ms.to_bits(),
+                    direct.result.model_ms.to_bits(),
+                    "{what}"
+                );
+                assert!(reused.conflict_rounds > 0, "{what}: the cut is not empty");
+            }
+        }
     }
 }
 
