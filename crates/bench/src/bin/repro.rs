@@ -33,18 +33,19 @@
 //! the paper's launch shape (full-width frontiers, one dispatch per
 //! operator), once with today's default path (compacted frontiers in
 //! replayed launch graphs) — and writes the before/after matrix as a
-//! `gc-bench-coloring/v6` JSON document (default `BENCH_coloring.json`,
+//! `gc-bench-coloring/v7` JSON document (default `BENCH_coloring.json`,
 //! override with `--out`). `--devices N[,M...]` (counts > 1) adds
 //! sharded rows over the two largest datasets: every GPU colorer runs
 //! once per device count through `gc_shard::run_sharded`, reporting
 //! per-device maximum
 //! work, halo traffic (full vs delta), overlap ratio, and the sharding
-//! efficiency next to the single-device baseline. `--quality` adds the
-//! colors-vs-model-time pareto sweep: every Figure 1 colorer plus the
-//! quality-tier extensions (the hybrid JP colorer, both short-cutting
-//! IS variants) and two `+reduce` post-pass arms per dataset, gated by
-//! the document's `quality_budget` (hybrid within 2 colors of CPU
-//! greedy at >= 3x fewer thread executions than GraphBLAST MIS).
+//! efficiency next to the single-device baseline; each sharded wall
+//! time is the median of three runs that must agree exactly. `--quality`
+//! adds the colors-vs-model-time pareto sweep: every Figure 1 colorer
+//! plus both short-cutting IS variants and the `Naumov/Color_CC+reduce`
+//! post-pass arm per dataset, gated by the document's `quality_budget`
+//! (that arm, the MinColors route, at no more colors than CPU greedy
+//! with >= 3x fewer thread executions than GraphBLAST MIS).
 //!
 //! `scale-sweep` runs the Figure 4 RGG scaling study at paper extents:
 //! three representative colorers over `rgg_n_2_{MIN..MAX}_s0` (default
@@ -136,8 +137,8 @@ fn usage() -> String {
          \x20 --workers N           serve worker threads (default 4)\n\
          \x20 --devices N[,M...]    virtual device counts for the bench sharded rows; each\n\
          \x20                       count > 1 adds a sharded row family (default 1)\n\
-         \x20 --quality             bench: add the quality-tier pareto sweep (hybrid JP,\n\
-         \x20                       short-cutting IS variants, +reduce post-pass arms)\n\
+         \x20 --quality             bench: add the quality-tier pareto sweep (short-cutting\n\
+         \x20                       IS variants, Naumov/Color_CC+reduce post-pass arm)\n\
          \x20 --port N              serve listen port (default 7711, 0 = ephemeral)\n\
          \x20 --trace FILE          trace: write a Chrome trace-event JSON\n\
          \x20 --jsonl FILE          trace: write a newline-delimited span log\n\

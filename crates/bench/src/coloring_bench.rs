@@ -24,25 +24,27 @@
 //! halo-transfer cycles hidden behind compute), `sharded_efficiency`
 //! (sharded model-ms over single-device model-ms — below 1 means
 //! sharding is a wall-clock win, not just a capacity win),
-//! `conflict_rounds`, and `verified`.
+//! `conflict_rounds`, and `verified`. The sharded `after` side's wall
+//! time is the median of [`SHARD_WALL_SAMPLES`] runs, which must agree
+//! on every coloring and model number.
 //!
 //! With `--quality` the document additionally carries a `pareto` array:
 //! one colors-vs-model-ms point per dataset for every Figure 1 colorer
-//! (reusing the matrix's optimized side), the three quality-tier
-//! extensions (`Hybrid/Color_JP` and the two short-cutting IS
-//! variants), and two `+reduce` arms that run the iterated
+//! (reusing the matrix's optimized side), the two short-cutting IS
+//! variants, and a `+reduce` arm that runs the iterated-greedy
 //! [`gc_core::reduce::reduce_colors`] post-pass on top of the fastest
-//! (`Naumov/Color_CC`) and the hybrid colorer. The document's
-//! `quality_budget` object declares the quality gates the committed
-//! artifact pins: on each gated dataset the hybrid must land within
-//! [`QUALITY_MAX_EXTRA_COLORS`] colors of the [`QUALITY_COLOR_ANCHOR`]
-//! while executing at least [`QUALITY_MIN_TE_RATIO`]× fewer simulated
-//! threads than the [`QUALITY_WORK_REFERENCE`], and the Naumov `+reduce`
-//! arm must strictly reduce its color count. Both gates bind only on
-//! rows with at least [`QUALITY_GATE_MIN_VERTICES`] vertices, so
-//! smoke-scale runs are shape-checked but not quality-gated.
+//! colorer (`Naumov/Color_CC`) — the service's `MinColors` route. The
+//! document's `quality_budget` object names that [`QUALITY_ROUTE`] row
+//! and declares the quality gates the committed artifact pins: on each
+//! gated dataset the route must land within [`QUALITY_MAX_EXTRA_COLORS`]
+//! colors of the [`QUALITY_COLOR_ANCHOR`] while executing, base plus
+//! passes, at least [`QUALITY_MIN_TE_RATIO`]× fewer simulated threads
+//! than the [`QUALITY_WORK_REFERENCE`], and the Naumov `+reduce` arm
+//! must strictly reduce its color count. Both gates bind only on rows
+//! with at least [`QUALITY_GATE_MIN_VERTICES`] vertices, so smoke-scale
+//! runs are shape-checked but not quality-gated.
 //!
-//! `to_json` emits the `gc-bench-coloring/v6` document committed as
+//! `to_json` emits the `gc-bench-coloring/v7` document committed as
 //! `BENCH_coloring.json`, the artifact that anchors the perf trajectory:
 //! future optimization PRs regenerate it and diff the counters.
 //! `validate_report_json` re-parses a document with the gc-telemetry
@@ -71,13 +73,13 @@ use gc_core::runner::{all_colorers, colorer_by_name, Colorer};
 use gc_core::verify::is_proper;
 use gc_core::ColoringResult;
 use gc_graph::Csr;
-use gc_shard::{run_sharded, ShardedConfig, MAX_CONFLICT_ROUNDS};
+use gc_shard::{run_sharded, ShardedConfig, ShardedResult, MAX_CONFLICT_ROUNDS};
 use gc_vgpu::Device;
 
 use crate::experiments::ExperimentConfig;
 
 /// The document's `schema` field.
-pub const SCHEMA: &str = "gc-bench-coloring/v6";
+pub const SCHEMA: &str = "gc-bench-coloring/v7";
 
 /// Per-row wall-clock budget the emitted document declares: no side of
 /// any row may spend more than `max_wall_per_model` host milliseconds
@@ -100,6 +102,11 @@ pub const WALL_BUDGET_RATIO: f64 = 350.0;
 
 /// Flat per-row slack (ms) of the wall-clock budget.
 pub const WALL_BUDGET_SLACK_MS: f64 = 50.0;
+
+/// Timed runs per sharded `after` side; the row records the median
+/// wall time. Several simulated devices share the host's cores, so one
+/// sample swings by more than the wall budget's headroom.
+pub const SHARD_WALL_SAMPLES: usize = 3;
 
 /// Shard budget the emitted document declares: on every gated sharded
 /// row, end-to-end sharded model time may exceed the single-device run
@@ -124,27 +131,30 @@ pub const SHARD_GATE_MIN_VERTICES: u64 = 50_000;
 /// fixed round costs, not the exchange design.
 pub const SHARD_GATE_MAX_DEVICES: u64 = 4;
 
+/// The gated row of the quality gate: the service's `MinColors` route,
+/// the fastest colorer plus the iterated-greedy post-pass.
+pub const QUALITY_ROUTE: &str = "Naumov/Color_CC+reduce";
+
 /// Color anchor of the quality gate: the sequential first-fit baseline
-/// whose count the hybrid colorer must approach.
+/// whose count the route must reach.
 pub const QUALITY_COLOR_ANCHOR: &str = "CPU/Color_Greedy";
 
-/// How many colors past the anchor a gated hybrid row may use.
-pub const QUALITY_MAX_EXTRA_COLORS: u32 = 2;
+/// How many colors past the anchor a gated route row may use.
+pub const QUALITY_MAX_EXTRA_COLORS: u32 = 0;
 
 /// Work reference of the quality gate: the paper's best-quality device
-/// colorer. The hybrid buys its near-greedy counts by spending device
-/// work, so the gate demands it spend *much less* of it than the
+/// colorer. The route buys its greedy-grade counts with post-pass
+/// device work, so the gate demands it spend *much less* of it than the
 /// MIS-per-color pipeline that previously owned the quality end.
 pub const QUALITY_WORK_REFERENCE: &str = "GraphBLAST/Color_MIS";
 
 /// Minimum ratio `reference.thread_executions /
-/// hybrid.thread_executions` on gated rows.
+/// route.thread_executions` on gated rows.
 pub const QUALITY_MIN_TE_RATIO: f64 = 3.0;
 
-/// Vertex floor of the quality gates. Below it the straggler threshold
-/// and per-pass fixed costs dominate and the ratios measure overhead,
-/// exactly like the shard gate's floor; smoke runs stay shape-checked
-/// only.
+/// Vertex floor of the quality gates. Below it per-pass fixed costs
+/// dominate and the ratios measure overhead, exactly like the shard
+/// gate's floor; smoke runs stay shape-checked only.
 pub const QUALITY_GATE_MIN_VERTICES: u64 = 50_000;
 
 /// Datasets the color/work gate binds on — the two largest Table I
@@ -156,11 +166,7 @@ pub const QUALITY_GATE_DATASETS: [&str; 2] = ["ecology2", "G3_circuit"];
 
 /// Quality-tier extension colorers added to the pareto sweep next to
 /// the nine Figure 1 rows.
-pub const QUALITY_COLORERS: [&str; 3] = [
-    "Hybrid/Color_JP",
-    "Gunrock/Color_IS_SC",
-    "GraphBLAST/Color_IS_SC",
-];
+pub const QUALITY_COLORERS: [&str; 2] = ["Gunrock/Color_IS_SC", "GraphBLAST/Color_IS_SC"];
 
 /// Datasets the bench sweeps: the road-like sparse mesh the acceptance
 /// tracking cares about first, then a 3-D mesh, a circuit, and a
@@ -349,19 +355,12 @@ pub fn coloring_bench_on(
             }
         }
         if quality {
-            let mut hybrid_result: Option<ColoringResult> = None;
             for qname in QUALITY_COLORERS {
                 let c = colorer_by_name(qname).expect("quality colorer registered");
-                let r = c.run(&g, cfg.seed);
-                pareto.push(pareto_row(qname, name, &g, &r));
-                if qname == "Hybrid/Color_JP" {
-                    hybrid_result = Some(r);
-                }
+                pareto.push(pareto_row(qname, name, &g, &c.run(&g, cfg.seed)));
             }
             let cc = cc_result.expect("registry includes Naumov/Color_CC");
             pareto.push(reduce_arm("Naumov/Color_CC", name, &g, &cc));
-            let hybrid = hybrid_result.expect("quality sweep ran the hybrid");
-            pareto.push(reduce_arm("Hybrid/Color_JP", name, &g, &hybrid));
         }
     }
     if !shard_counts.is_empty() {
@@ -429,13 +428,40 @@ fn reduce_arm(base_name: &str, dataset: &str, g: &Csr, base: &ColoringResult) ->
 /// the N-device sharded run. The after side's `thread_executions` and
 /// `launches` are the per-device MAXIMUM — the number that answers
 /// "does sharding actually shrink what any one device does" — while its
-/// model/wall times are end-to-end for the whole sharded pipeline.
+/// model/wall times are end-to-end for the whole sharded pipeline. The
+/// sharded run repeats [`SHARD_WALL_SAMPLES`] times and the row records
+/// the median wall time.
+///
+/// # Panics
+///
+/// Panics when the repeated sharded runs disagree on the coloring or on
+/// any model number: a sharded run is deterministic for a fixed seed.
 fn shard_row(colorer: &Colorer, dataset: &str, g: &Csr, seed: u64, devices: usize) -> BenchRow {
     let (before_r, before_wall) = timed(|| colorer.run(g, seed));
-    let t0 = Instant::now();
-    let sharded = run_sharded(colorer, g, seed, &ShardedConfig::new(devices));
-    let after_wall = t0.elapsed().as_secs_f64() * 1e3;
-    let mut after = side_of(&sharded.result, after_wall);
+    let cfg = ShardedConfig::new(devices);
+    let timed_sharded = || {
+        let t0 = Instant::now();
+        let run = run_sharded(colorer, g, seed, &cfg);
+        (run, t0.elapsed().as_secs_f64() * 1e3)
+    };
+    let (sharded, wall) = timed_sharded();
+    let mut walls = vec![wall];
+    for _ in 1..SHARD_WALL_SAMPLES {
+        let (again, wall) = timed_sharded();
+        walls.push(wall);
+        let what = format!("{} on {dataset} at {devices} devices", colorer.name());
+        assert!(
+            again.result.coloring == sharded.result.coloring,
+            "{what}: repeated sharded runs colored differently"
+        );
+        assert_eq!(
+            model_numbers(&again),
+            model_numbers(&sharded),
+            "{what}: repeated sharded runs disagree"
+        );
+    }
+    walls.sort_by(f64::total_cmp);
+    let mut after = side_of(&sharded.result, walls[walls.len() / 2]);
     after.thread_executions = sharded.max_device_thread_executions();
     after.launches = sharded
         .per_device
@@ -466,6 +492,32 @@ fn shard_row(colorer: &Colorer, dataset: &str, g: &Csr, seed: u64, devices: usiz
     }
 }
 
+/// Every model number of a sharded run the bench reports or derives a
+/// row field from.
+fn model_numbers(s: &ShardedResult) -> impl PartialEq + std::fmt::Debug {
+    let r = &s.result;
+    let profile = r
+        .profile
+        .as_ref()
+        .map(|p| (p.thread_executions, p.graph_replays, p.launch_overhead_ms));
+    let per_device: Vec<_> = s
+        .per_device
+        .iter()
+        .map(|d| (d.model_ms, d.thread_executions, d.launches, d.d2d_bytes))
+        .collect();
+    (
+        (
+            r.num_colors,
+            r.model_ms,
+            r.iterations,
+            r.kernel_launches,
+            profile,
+        ),
+        (s.conflict_rounds, s.halo_bytes, s.halo_bytes_delta),
+        (s.overlap_ratio, s.changed_boundary, s.verified, per_device),
+    )
+}
+
 fn esc(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
@@ -491,7 +543,7 @@ fn json_side(s: &BenchSide) -> String {
     )
 }
 
-/// Serializes a report as a `gc-bench-coloring/v6` JSON document.
+/// Serializes a report as a `gc-bench-coloring/v7` JSON document.
 pub fn to_json(report: &BenchReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -510,7 +562,8 @@ pub fn to_json(report: &BenchReport) -> String {
          \"max_devices\": {SHARD_GATE_MAX_DEVICES}}},\n"
     ));
     out.push_str(&format!(
-        "  \"quality_budget\": {{\"color_anchor\": \"{QUALITY_COLOR_ANCHOR}\", \
+        "  \"quality_budget\": {{\"route\": \"{QUALITY_ROUTE}\", \
+         \"color_anchor\": \"{QUALITY_COLOR_ANCHOR}\", \
          \"max_extra_colors\": {QUALITY_MAX_EXTRA_COLORS}, \
          \"work_reference\": \"{QUALITY_WORK_REFERENCE}\", \
          \"min_te_ratio\": {QUALITY_MIN_TE_RATIO}, \
@@ -575,7 +628,7 @@ pub fn to_json(report: &BenchReport) -> String {
     out
 }
 
-/// Validates a `gc-bench-coloring/v6` document: parses it with the
+/// Validates a `gc-bench-coloring/v7` document: parses it with the
 /// gc-telemetry JSON parser, checks every field the schema promises,
 /// and enforces the perf invariants — a single-device row's optimized
 /// side must never dispatch more launches than its baseline, every row
@@ -588,16 +641,17 @@ pub fn to_json(report: &BenchReport) -> String {
 /// exists, and `sharded_efficiency <= max_efficiency` on rows with at
 /// least `min_vertices` vertices and at most `max_devices` devices.
 ///
-/// On top of the v5 rules, the v6 quality section is enforced against
-/// the document's own `quality_budget`: `quality: false` requires an
-/// empty `pareto` array, `quality: true` a non-empty one whose rows all
-/// verified; `+reduce` arms may never increase colors; on every gated
-/// dataset (declared in the budget, at least its `min_vertices`
-/// vertices) the hybrid row must stay within `max_extra_colors` of the
-/// `color_anchor` row while executing at least `min_te_ratio`× fewer
-/// threads than the `work_reference` row, and the `Naumov/Color_CC`
-/// `+reduce` arm must *strictly* reduce its color count anywhere the
-/// vertex floor is met.
+/// The quality section is enforced against the document's own
+/// `quality_budget`: `quality: false` requires an empty `pareto` array,
+/// `quality: true` a non-empty one whose rows all verified; `+reduce`
+/// arms may never increase colors; on every gated dataset (declared in
+/// the budget, at least its `min_vertices` vertices in any row) a
+/// quality document must carry the budget's `route`, `color_anchor` and
+/// `work_reference` pareto rows, and the route row must stay within
+/// `max_extra_colors` of the anchor while executing at least
+/// `min_te_ratio`× fewer threads than the reference; and the
+/// `Naumov/Color_CC` `+reduce` arm must *strictly* reduce its color
+/// count anywhere the vertex floor is met.
 pub fn validate_report_json(text: &str) -> Result<(), String> {
     use gc_telemetry::json::{parse, Json};
     let doc = parse(text)?;
@@ -650,6 +704,10 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
     let max_extra_colors = quality_field("max_extra_colors")?;
     let min_te_ratio = quality_field("min_te_ratio")?;
     let quality_min_vertices = quality_field("min_vertices")?;
+    let route = quality_budget
+        .get("route")
+        .and_then(|v| v.as_str())
+        .ok_or("quality_budget: missing route")?;
     let color_anchor = quality_budget
         .get("color_anchor")
         .and_then(|v| v.as_str())
@@ -672,12 +730,15 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
     if rows.is_empty() {
         return Err("rows must be non-empty".into());
     }
+    // dataset -> vertices, from matrix and pareto rows alike.
+    let mut dataset_vertices = std::collections::HashMap::new();
     for (i, row) in rows.iter().enumerate() {
         let missing = |f: &str| format!("row {i}: missing or mistyped {f}");
         row.get("colorer")
             .and_then(|v| v.as_str())
             .ok_or_else(|| missing("colorer"))?;
-        row.get("dataset")
+        let dataset = row
+            .get("dataset")
             .and_then(|v| v.as_str())
             .ok_or_else(|| missing("dataset"))?;
         for f in [
@@ -706,6 +767,8 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
             }
             _ => return Err(missing("verified")),
         }
+        let row_vertices = row.get("vertices").and_then(|v| v.as_f64()).unwrap_or(0.0);
+        dataset_vertices.insert(dataset.clone(), row_vertices);
         let row_devices = row.get("devices").and_then(|v| v.as_f64()).unwrap_or(1.0);
         let rounds = row
             .get("conflict_rounds")
@@ -860,42 +923,42 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
                 ));
             }
         }
+        dataset_vertices.insert(dataset.clone(), vertices);
         points.insert(
             (dataset.clone(), colorer.clone()),
-            (vertices, colors, num("thread_executions")),
+            (colors, num("thread_executions")),
         );
     }
     // The committed quality gates, on every gated dataset big enough to
-    // measure: near-greedy colors at a fraction of the MIS work.
+    // measure: greedy-grade colors at a fraction of the MIS work. Each
+    // gated row must be present, so dropping one cannot switch its gate
+    // off.
     for ds in &gated_datasets {
-        let Some(&(vertices, hybrid_colors, hybrid_te)) =
-            points.get(&(ds.clone(), "Hybrid/Color_JP".to_string()))
-        else {
-            continue;
-        };
-        if vertices < quality_min_vertices {
+        let vertices = dataset_vertices.get(ds).copied().unwrap_or(0.0);
+        if !quality || vertices < quality_min_vertices {
             continue;
         }
-        let anchor = points
-            .get(&(ds.clone(), color_anchor.clone()))
-            .ok_or_else(|| format!("pareto: gated dataset {ds} lacks a {color_anchor} row"))?;
-        let reference = points
-            .get(&(ds.clone(), work_reference.clone()))
-            .ok_or_else(|| format!("pareto: gated dataset {ds} lacks a {work_reference} row"))?;
-        if hybrid_colors > anchor.1 + max_extra_colors {
+        let point = |colorer: &str| {
+            points
+                .get(&(ds.clone(), colorer.to_string()))
+                .copied()
+                .ok_or_else(|| format!("pareto: gated dataset {ds} lacks a {colorer} row"))
+        };
+        let (route_colors, route_te) = point(&route)?;
+        let (anchor_colors, _) = point(&color_anchor)?;
+        let (_, reference_te) = point(&work_reference)?;
+        if route_colors > anchor_colors + max_extra_colors {
             return Err(format!(
-                "pareto: Hybrid/Color_JP on {ds} uses {hybrid_colors} colors, more than \
-                 {} + {max_extra_colors} ({color_anchor}) — the hybrid lost its \
-                 near-greedy quality",
-                anchor.1
+                "pareto: {route} on {ds} uses {route_colors} colors, more than \
+                 {anchor_colors} + {max_extra_colors} ({color_anchor}) — the route \
+                 lost its greedy-grade quality"
             ));
         }
-        if hybrid_te * min_te_ratio > reference.2 {
+        if route_te * min_te_ratio > reference_te {
             return Err(format!(
-                "pareto: Hybrid/Color_JP on {ds} executed {hybrid_te} threads, not \
-                 {min_te_ratio}x below the {work_reference} reference ({}) — the \
-                 hybrid lost its work advantage",
-                reference.2
+                "pareto: {route} on {ds} executed {route_te} threads, not \
+                 {min_te_ratio}x below the {work_reference} reference ({reference_te}) \
+                 — the route lost its work advantage"
             ));
         }
     }
@@ -1023,10 +1086,10 @@ mod tests {
         validate_report_json(&to_json(&report)).expect("sharded JSON validates");
     }
 
-    const MINI: &str = r#"{"schema": "gc-bench-coloring/v6", "scale": 0.002, "seed": 42, "devices": 1, "quality": false,
+    const MINI: &str = r#"{"schema": "gc-bench-coloring/v7", "scale": 0.002, "seed": 42, "devices": 1, "quality": false,
       "wall_budget": {"max_wall_per_model": 250.0, "slack_ms": 50.0},
       "shard_budget": {"max_efficiency": 1.5, "min_vertices": 50000, "max_devices": 4},
-      "quality_budget": {"color_anchor": "CPU/Color_Greedy", "max_extra_colors": 2, "work_reference": "GraphBLAST/Color_MIS", "min_te_ratio": 3, "min_vertices": 50000, "datasets": ["ecology2", "G3_circuit"]},
+      "quality_budget": {"route": "Naumov/Color_CC+reduce", "color_anchor": "CPU/Color_Greedy", "max_extra_colors": 0, "work_reference": "GraphBLAST/Color_MIS", "min_te_ratio": 3, "min_vertices": 50000, "datasets": ["ecology2", "G3_circuit"]},
       "rows": [{"colorer": "X", "dataset": "d", "vertices": 1, "edges": 0, "colors": 1,
       "identical_coloring": true, "devices": 1, "halo_bytes": 0, "halo_bytes_delta": 0, "overlap_ratio": 0.0, "sharded_efficiency": 0.0, "conflict_rounds": 0, "verified": true,
       "before": {"model_ms": 1.0, "wall_ms": 1.0, "thread_executions": 1, "launches": 2, "graph_replays": 0, "launch_overhead_ms": 0.2, "iterations": 1},
@@ -1039,7 +1102,7 @@ mod tests {
         assert!(validate_report_json("not json").is_err());
         assert!(validate_report_json("{}").is_err());
         assert!(validate_report_json(
-            &MINI.replace("gc-bench-coloring/v6", "gc-bench-coloring/v5")
+            &MINI.replace("gc-bench-coloring/v7", "gc-bench-coloring/v6")
         )
         .is_err());
         assert!(validate_report_json(&MINI.replace(" \"quality\": false,\n", "\n")).is_err());
@@ -1061,14 +1124,18 @@ mod tests {
         ))
         .is_err());
         assert!(validate_report_json(&MINI.replace(
-            "\"quality_budget\": {\"color_anchor\": \"CPU/Color_Greedy\", \
-             \"max_extra_colors\": 2, \"work_reference\": \"GraphBLAST/Color_MIS\", \
-             \"min_te_ratio\": 3, \"min_vertices\": 50000, \
-             \"datasets\": [\"ecology2\", \"G3_circuit\"]},",
+            "\"quality_budget\": {\"route\": \"Naumov/Color_CC+reduce\", \
+             \"color_anchor\": \"CPU/Color_Greedy\", \"max_extra_colors\": 0, \
+             \"work_reference\": \"GraphBLAST/Color_MIS\", \"min_te_ratio\": 3, \
+             \"min_vertices\": 50000, \"datasets\": [\"ecology2\", \"G3_circuit\"]},",
             ""
         ))
         .is_err());
         assert!(validate_report_json(&MINI.replace("\"min_te_ratio\": 3, ", "")).is_err());
+        assert!(
+            validate_report_json(&MINI.replace("\"route\": \"Naumov/Color_CC+reduce\", ", ""))
+                .is_err()
+        );
         assert!(validate_report_json(
             &MINI.replace("\"max_wall_per_model\": 250.0", "\"max_wall_per_model\": 0")
         )
@@ -1102,18 +1169,16 @@ mod tests {
     fn quality_sweep_covers_the_tier_and_validates() {
         let report = coloring_bench_on(&ExperimentConfig::smoke(), &["ecology2"], &[], &[1], true);
         assert!(report.quality);
-        // 9 Figure 1 colorers + 3 quality-tier extensions + 2 reduce arms.
-        assert_eq!(report.pareto.len(), 14);
+        // 9 Figure 1 colorers + 2 quality-tier extensions + the reduce arm.
+        assert_eq!(report.pareto.len(), 12);
         for p in &report.pareto {
             assert!(p.verified, "{} failed host verification", p.colorer);
             assert!(p.colors > 0 && p.model_ms > 0.0, "{}", p.colorer);
         }
         for name in [
-            "Hybrid/Color_JP",
             "Gunrock/Color_IS_SC",
             "GraphBLAST/Color_IS_SC",
-            "Naumov/Color_CC+reduce",
-            "Hybrid/Color_JP+reduce",
+            QUALITY_ROUTE,
         ] {
             assert!(
                 report.pareto.iter().any(|p| p.colorer == name),
@@ -1121,19 +1186,16 @@ mod tests {
             );
         }
         let point = |name: &str| report.pareto.iter().find(|p| p.colorer == name).unwrap();
-        // The reduce arms never add colors and report their work.
-        for base in ["Naumov/Color_CC", "Hybrid/Color_JP"] {
-            let b = point(base);
-            let r = point(&format!("{base}+reduce"));
-            assert!(r.colors <= b.colors, "{base}+reduce added colors");
-            assert_eq!(r.colors_before, b.colors);
-            assert_eq!(r.colors_after, r.colors);
-            assert!(r.colors_after <= r.colors_before);
-            assert!(r.model_ms >= b.model_ms);
-        }
+        // The reduce arm reports its work on top of its base's.
+        let cc = point("Naumov/Color_CC");
+        let ccr = point(QUALITY_ROUTE);
+        assert_eq!(ccr.colors_before, cc.colors);
+        assert_eq!(ccr.colors_after, ccr.colors);
+        assert!(ccr.model_ms > cc.model_ms);
+        assert!(ccr.thread_executions > cc.thread_executions);
+        assert!(ccr.iterations > cc.iterations);
         // Naumov/Color_CC has the most reduction headroom; even at smoke
-        // scale the post-pass must find something to move.
-        let ccr = point("Naumov/Color_CC+reduce");
+        // scale the post-pass must strictly reduce.
         assert!(ccr.reduction_passes >= 1);
         assert!(ccr.colors_after < ccr.colors_before);
         // The short-cutting IS variants never use more colors than their
@@ -1218,18 +1280,38 @@ mod tests {
         assert!(validate_report_json(&slow_after(MINI)).is_err());
     }
 
+    /// The route row of [`quality_doc`]: Naumov/Color_CC plus the
+    /// post-pass, from 25 colors down to greedy's 6 at 1.2M threads.
+    const ROUTE_ROW: &str = r#"
+      {"colorer": "Naumov/Color_CC+reduce", "dataset": "ecology2", "vertices": 100000, "colors": 6, "model_ms": 1.8, "thread_executions": 1200000, "iterations": 8, "colors_before": 25, "colors_after": 6, "reduction_passes": 2, "verified": true},"#;
+
     /// A quality document whose pareto rows sit exactly at the committed
     /// acceptance numbers' shape: greedy anchor at 6 colors, MIS
-    /// reference at 4M threads, hybrid at 7 colors / 1.2M threads, and a
-    /// Naumov+reduce arm that strictly reduced.
+    /// reference at 4M threads, and the route at 6 colors / 1.2M
+    /// threads after strictly reducing.
     fn quality_doc() -> String {
-        MINI.replace("\"quality\": false", "\"quality\": true").replace(
-            "\"pareto\": []",
-            r#""pareto": [
-      {"colorer": "CPU/Color_Greedy", "dataset": "ecology2", "vertices": 100000, "colors": 6, "model_ms": 10.0, "thread_executions": 0, "iterations": 1, "colors_before": 0, "colors_after": 0, "reduction_passes": 0, "verified": true},
-      {"colorer": "GraphBLAST/Color_MIS", "dataset": "ecology2", "vertices": 100000, "colors": 7, "model_ms": 1.6, "thread_executions": 4000000, "iterations": 8, "colors_before": 0, "colors_after": 0, "reduction_passes": 0, "verified": true},
-      {"colorer": "Hybrid/Color_JP", "dataset": "ecology2", "vertices": 100000, "colors": 7, "model_ms": 2.6, "thread_executions": 1200000, "iterations": 3, "colors_before": 0, "colors_after": 0, "reduction_passes": 0, "verified": true},
-      {"colorer": "Naumov/Color_CC+reduce", "dataset": "ecology2", "vertices": 100000, "colors": 20, "model_ms": 3.0, "thread_executions": 900000, "iterations": 5, "colors_before": 25, "colors_after": 20, "reduction_passes": 2, "verified": true}]"#,
+        MINI.replace("\"quality\": false", "\"quality\": true")
+            .replace(
+                "\"pareto\": []",
+                &format!(
+                    r#""pareto": [{ROUTE_ROW}
+      {{"colorer": "CPU/Color_Greedy", "dataset": "ecology2", "vertices": 100000, "colors": 6, "model_ms": 10.0, "thread_executions": 0, "iterations": 1, "colors_before": 0, "colors_after": 0, "reduction_passes": 0, "verified": true}},
+      {{"colorer": "GraphBLAST/Color_MIS", "dataset": "ecology2", "vertices": 100000, "colors": 7, "model_ms": 1.6, "thread_executions": 4000000, "iterations": 8, "colors_before": 0, "colors_after": 0, "reduction_passes": 0, "verified": true}}]"#
+                ),
+            )
+    }
+
+    /// `doc` with the route row's colors (and `colors_after`) set to
+    /// `colors`.
+    fn route_colors(doc: &str, colors: u32) -> String {
+        doc.replace(
+            ROUTE_ROW,
+            &ROUTE_ROW
+                .replace("\"colors\": 6,", &format!("\"colors\": {colors},"))
+                .replace(
+                    "\"colors_after\": 6",
+                    &format!("\"colors_after\": {colors}"),
+                ),
         )
     }
 
@@ -1237,31 +1319,22 @@ mod tests {
     fn validator_enforces_the_declared_quality_budget() {
         let doc = quality_doc();
         validate_report_json(&doc).expect("in-budget quality document validates");
-        // A hybrid past greedy + max_extra_colors fails ...
-        let off_color = doc.replace(
-            "\"Hybrid/Color_JP\", \"dataset\": \"ecology2\", \"vertices\": 100000, \"colors\": 7",
-            "\"Hybrid/Color_JP\", \"dataset\": \"ecology2\", \"vertices\": 100000, \"colors\": 9",
-        );
+        // A route past greedy + max_extra_colors fails ...
+        let off_color = route_colors(&doc, 7);
         let err = validate_report_json(&off_color).unwrap_err();
-        assert!(err.contains("near-greedy"), "{err}");
-        // ... as does a hybrid that lost its 3x work advantage ...
+        assert!(err.contains("greedy-grade"), "{err}");
+        // ... as does a route that lost its 3x work advantage ...
         let off_work = doc.replace(
-            "\"thread_executions\": 1200000, \"iterations\": 3",
-            "\"thread_executions\": 2000000, \"iterations\": 3",
+            "\"thread_executions\": 1200000, \"iterations\": 8",
+            "\"thread_executions\": 2000000, \"iterations\": 8",
         );
         let err = validate_report_json(&off_work).unwrap_err();
         assert!(err.contains("work advantage"), "{err}");
         // ... and a Naumov+reduce arm that stopped strictly reducing ...
-        let stuck = doc
-            .replace("\"colors\": 20,", "\"colors\": 25,")
-            .replace("\"colors_after\": 20", "\"colors_after\": 25");
-        let err = validate_report_json(&stuck).unwrap_err();
+        let err = validate_report_json(&route_colors(&doc, 25)).unwrap_err();
         assert!(err.contains("strictly"), "{err}");
         // ... and any reduce arm that *added* colors, anywhere.
-        let grew = doc
-            .replace("\"colors\": 20,", "\"colors\": 26,")
-            .replace("\"colors_after\": 20", "\"colors_after\": 26");
-        let err = validate_report_json(&grew).unwrap_err();
+        let err = validate_report_json(&route_colors(&doc, 26)).unwrap_err();
         assert!(err.contains("never add colors"), "{err}");
         // A gated dataset without its anchor row is malformed.
         let no_anchor = doc.replace(
@@ -1269,13 +1342,10 @@ mod tests {
             "\"Other\", \"dataset\"",
         );
         let err = validate_report_json(&no_anchor).unwrap_err();
-        assert!(err.contains("lacks a"), "{err}");
+        assert!(err.contains("lacks a CPU/Color_Greedy row"), "{err}");
         // Below the vertex floor none of the gates bind: smoke-scale
         // sweeps are shape-checked only.
-        let small = off_color
-            .replace("\"vertices\": 100000", "\"vertices\": 1000")
-            .replace("\"colors_after\": 20", "\"colors_after\": 25")
-            .replace("\"colors\": 20,", "\"colors\": 25,");
+        let small = route_colors(&doc, 25).replace("\"vertices\": 100000", "\"vertices\": 1000");
         validate_report_json(&small).expect("sub-floor rows are exempt from the quality gates");
         // Pareto rows must verify and carry every field.
         let unverified = doc.replace(
@@ -1284,6 +1354,39 @@ mod tests {
         );
         assert!(validate_report_json(&unverified).is_err());
         assert!(validate_report_json(&doc.replace("\"colors_before\": 25, ", "")).is_err());
+    }
+
+    #[test]
+    fn validator_rejects_a_gated_dataset_without_its_route_row() {
+        let doc = quality_doc();
+        let no_route = doc.replace(ROUTE_ROW, "");
+        let err = validate_report_json(&no_route).unwrap_err();
+        assert!(
+            err.contains("ecology2 lacks a Naumov/Color_CC+reduce row"),
+            "{err}"
+        );
+        // The gate follows the route the budget names, not a fixed row.
+        let renamed = doc.replace(
+            "\"route\": \"Naumov/Color_CC+reduce\"",
+            "\"route\": \"Gunrock/Color_IS_SC+reduce\"",
+        );
+        let err = validate_report_json(&renamed).unwrap_err();
+        assert!(
+            err.contains("lacks a Gunrock/Color_IS_SC+reduce row"),
+            "{err}"
+        );
+        // A matrix row puts the dataset over the floor even when the
+        // pareto array lacks it altogether.
+        let no_pareto_rows = doc
+            .replace(ROUTE_ROW, "")
+            .replace("\"dataset\": \"ecology2\"", "\"dataset\": \"elsewhere\"");
+        validate_report_json(&no_pareto_rows).expect("no gated dataset in the document");
+        let gated_matrix = no_pareto_rows.replace(
+            "\"colorer\": \"X\", \"dataset\": \"d\", \"vertices\": 1,",
+            "\"colorer\": \"X\", \"dataset\": \"G3_circuit\", \"vertices\": 100000,",
+        );
+        let err = validate_report_json(&gated_matrix).unwrap_err();
+        assert!(err.contains("G3_circuit lacks a"), "{err}");
     }
 
     #[test]

@@ -20,31 +20,29 @@
 //! GPU) and the largest-degree-first priority mode of [`gunrock_is`]
 //! ([`gunrock_is::WeightMode::LargestDegreeFirst`]).
 //!
-//! On top of the reproduction sits the related-work **quality tier**
-//! (`Hybrid/Color_JP`, `Gunrock/Color_IS_SC`, `GraphBLAST/Color_IS_SC`
-//! in [`runner::extension_colorers`]): [`hybrid`] finishes a min-max
-//! first-fit Jones-Plassmann pass with sequential greedy on the
-//! straggler tail, the short-cutting IS variants first-fit into the
-//! lowest legal color instead of the round index, and [`reduce`]
-//! squeezes colors out of *any* proper coloring with an iterated
-//! highest-class-first recolor post-pass:
+//! On top of the reproduction sits the related-work **quality tier**:
+//! the short-cutting IS variants (`Gunrock/Color_IS_SC`,
+//! `GraphBLAST/Color_IS_SC` in [`runner::extension_colorers`])
+//! first-fit into the lowest legal color instead of the round index,
+//! and [`reduce`] squeezes colors out of *any* proper coloring with an
+//! iterated-greedy post-pass. The fastest colorer plus that post-pass
+//! is the service's `MinColors` route:
 //!
 //! ```
-//! use gc_core::hybrid::hybrid_jp;
 //! use gc_core::reduce::{reduce_colors, ReduceBudget};
 //! use gc_graph::generators::erdos_renyi;
 //! use gc_vgpu::Device;
 //!
 //! let g = erdos_renyi(500, 0.02, 7);
-//! let hybrid = hybrid_jp(&g, 42);
-//! gc_core::assert_proper(&g, hybrid.coloring.as_slice());
-//!
-//! // Post-pass on a speed-tier coloring: never more colors, still proper.
 //! let fast = gc_core::naumov::naumov_cc(&g, 42);
+//! let greedy = gc_core::greedy::greedy(&g, gc_core::greedy::Ordering::Natural, 42);
+//!
+//! // Post-pass on the speed-tier coloring: fewer colors, still proper.
 //! let mut colors = fast.coloring.as_slice().to_vec();
 //! let outcome = reduce_colors(&Device::k40c(), &g, &mut colors, ReduceBudget::default());
-//! assert!(outcome.colors_after <= fast.num_colors);
 //! gc_core::assert_proper(&g, &colors);
+//! assert!(outcome.colors_after < fast.num_colors);
+//! assert!(outcome.colors_after <= greedy.num_colors + 1);
 //! ```
 //!
 //! Every algorithm returns a [`ColoringResult`] carrying the coloring
@@ -53,7 +51,7 @@
 //! [`runner`] exposes the uniform registry the benches and examples use.
 //!
 //! The Gunrock-style device colorers (Gunrock IS/Hash/AR, both Naumov
-//! baselines, the hybrid and GPU Gebremedhin-Manne) are round bodies on
+//! baselines and GPU Gebremedhin-Manne) are round bodies on
 //! one bulk-synchronous loop, [`rounds`]: it owns capture/replay,
 //! frontier contraction, the per-round sync and the iteration spans,
 //! and takes the launch shape — compacted frontier, or the paper's
@@ -83,7 +81,6 @@ pub mod greedy;
 pub mod gunrock_ar;
 pub mod gunrock_hash;
 pub mod gunrock_is;
-pub mod hybrid;
 pub mod jp_cpu;
 pub mod naumov;
 pub mod reduce;

@@ -2,9 +2,10 @@
 //! on arbitrary graphs, compacted frontiers never change a coloring,
 //! the compaction primitive itself returns a sorted permutation of
 //! the surviving set, and the quality tier holds its bounds — the
-//! hybrid and short-cutting colorers stay proper and within their
-//! quality guarantees, and the color-reduction post-pass never makes a
-//! coloring worse under any budget. The local properness check agrees
+//! short-cutting colorers stay proper and within their quality
+//! guarantees, and the color-reduction post-pass never makes a
+//! coloring worse under any budget, nor a longer run worse than a
+//! shorter one. The local properness check agrees
 //! with the full one on colorings changed only where an edge delta
 //! touched the graph.
 
@@ -16,10 +17,50 @@ use gc_vgpu::{primitives, Device, DeviceBuffer};
 use crate::color::count_distinct;
 use crate::greedy::{greedy, Ordering};
 use crate::gunrock_is::{gunrock_is, IsConfig};
-use crate::hybrid::{self, HybridConfig};
 use crate::reduce::{reduce_colors, ReduceBudget};
 use crate::runner::{all_colorers, all_known_colorers};
 use crate::verify::{is_proper, is_proper_at};
+
+/// Iterated greedy on the host, the reference `reduce_colors` must
+/// match: each pass recolors first-fit from scratch, one old class at a
+/// time, visiting the highest color first on even passes and the largest
+/// class first (ties to the higher color) on odd ones. Stops after a
+/// pass that does not lower the count. Returns the passes run.
+fn host_iterated_greedy(g: &Csr, colors: &mut [u32], max_passes: u32) -> u32 {
+    let mut count = count_distinct(colors);
+    if count <= 1 {
+        return 0;
+    }
+    let mut passes = 0;
+    while passes < max_passes {
+        let mut classes = std::collections::BTreeMap::<u32, Vec<u32>>::new();
+        for (v, &c) in colors.iter().enumerate() {
+            classes.entry(c).or_default().push(v as u32);
+        }
+        let mut classes: Vec<(u32, Vec<u32>)> = classes.into_iter().collect();
+        if passes % 2 == 0 {
+            classes.sort_by_key(|(c, _)| std::cmp::Reverse(*c));
+        } else {
+            classes.sort_by_key(|(c, m)| (std::cmp::Reverse(m.len()), std::cmp::Reverse(*c)));
+        }
+        let mut fresh = vec![0u32; colors.len()];
+        for (_, members) in &classes {
+            for &v in members {
+                let mut taken: Vec<u32> =
+                    g.neighbors(v).iter().map(|&u| fresh[u as usize]).collect();
+                fresh[v as usize] = crate::reduce::mex(&mut taken);
+            }
+        }
+        colors.copy_from_slice(&fresh);
+        passes += 1;
+        let next = count_distinct(colors);
+        if next >= count {
+            break;
+        }
+        count = next;
+    }
+    passes
+}
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
     (1usize..40).prop_flat_map(|n| {
@@ -93,26 +134,6 @@ proptest! {
         }
     }
 
-    // The hybrid colorer is a first-fit scheme under every straggler
-    // threshold: proper, within the greedy Δ+1 bound, no matter where
-    // the device rounds hand off to the host tail.
-    #[test]
-    fn hybrid_proper_and_within_greedy_bound_under_any_divisor(
-        g in arb_graph(),
-        seed in 0u64..100,
-        divisor in 1u32..32,
-    ) {
-        let dev = Device::k40c();
-        let cfg = HybridConfig { straggler_divisor: divisor };
-        let r = hybrid::run_on(&dev, &g, seed, cfg);
-        prop_assert!(
-            is_proper(&g, r.coloring.as_slice()).is_ok(),
-            "hybrid (divisor {}) produced an improper coloring",
-            divisor
-        );
-        prop_assert!(r.num_colors as usize <= g.max_degree() + 1);
-    }
-
     // Short-cutting (first-fit into the lowest legal color) is a pure
     // quality improvement over round-indexed colors: same winner
     // schedule, never more colors, still proper.
@@ -140,7 +161,10 @@ proptest! {
 
     // The reduction post-pass accepts any proper coloring and any
     // budget, never increases the color count, and keeps the coloring
-    // proper — even under pass- and model-ms-starved budgets.
+    // proper — even under pass- and model-ms-starved budgets. One more
+    // allowed pass never ends with more colors: a run repeats the
+    // shorter run's passes and each pass keeps or lowers the count. The
+    // passes a run makes are exactly the host reference's.
     #[test]
     fn reduce_colors_never_worsens_any_proper_coloring(
         g in arb_graph(),
@@ -152,20 +176,30 @@ proptest! {
         let colorers = all_colorers();
         let base = colorers[colorer_ix % colorers.len()].run(&g, seed);
         let before = base.num_colors;
-        let mut colors = base.coloring.as_slice().to_vec();
-        let dev = Device::k40c();
-        let budget = ReduceBudget {
-            max_passes,
-            max_model_ms: f64::from(budget_tenth_ms) / 10.0,
-        };
-        let outcome = reduce_colors(&dev, &g, &mut colors, budget);
+        let max_model_ms = f64::from(budget_tenth_ms) / 10.0;
+        let mut after = Vec::new();
+        for passes in [max_passes, max_passes + 1] {
+            let mut colors = base.coloring.as_slice().to_vec();
+            let budget = ReduceBudget { max_passes: passes, max_model_ms };
+            let outcome = reduce_colors(&Device::k40c(), &g, &mut colors, budget);
+            prop_assert!(
+                is_proper(&g, &colors).is_ok(),
+                "reduce_colors broke a proper coloring"
+            );
+            prop_assert_eq!(outcome.colors_before, before);
+            prop_assert!(outcome.colors_after <= outcome.colors_before);
+            prop_assert_eq!(outcome.colors_after, count_distinct(&colors));
+            prop_assert!(outcome.passes <= passes);
+            let mut host = base.coloring.as_slice().to_vec();
+            prop_assert_eq!(host_iterated_greedy(&g, &mut host, outcome.passes), outcome.passes);
+            prop_assert_eq!(&colors, &host, "the device passes diverged from the host reference");
+            after.push(outcome.colors_after);
+        }
         prop_assert!(
-            is_proper(&g, &colors).is_ok(),
-            "reduce_colors broke a proper coloring"
+            after[1] <= after[0],
+            "{} passes ended at {} colors, {} passes at {}",
+            max_passes + 1, after[1], max_passes, after[0]
         );
-        prop_assert_eq!(outcome.colors_before, before);
-        prop_assert!(outcome.colors_after <= outcome.colors_before);
-        prop_assert!(outcome.passes <= max_passes);
     }
 
     // The vgpu compaction primitive underneath every frontier: its

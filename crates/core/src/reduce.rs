@@ -1,23 +1,30 @@
-//! Iterated color-reduction post-pass: squeeze colors out of any
-//! proper coloring.
+//! Iterated-greedy color reduction: squeeze colors out of any proper
+//! coloring.
 //!
-//! Chen et al. ("Efficient and High-quality Sparse Graph Coloring on
-//! the GPU") observe that the color classes a parallel colorer produces
-//! are front-loaded: the highest-numbered classes are tiny, and most of
-//! their members have a *legal* lower color already — the round that
-//! assigned them simply never looked. `reduce_colors` exploits this
-//! with a color-centric recolor loop: process classes from the highest
-//! color downward, and move every member whose neighborhood permits a
-//! strictly smaller color.
+//! Culberson & Luo ("Exploring the k-colorable landscape with iterated
+//! greedy", 1996) observe that recoloring a proper coloring *from
+//! scratch*, first-fit, one old color class at a time, never needs more
+//! colors than the old coloring had — and usually needs fewer, because
+//! the new class order breaks the ties that trapped the old one. That
+//! is the kernel of `reduce_colors`. Each *pass* clears a device color
+//! buffer and visits the old classes in turn; every member takes the
+//! minimum excluded color ([`mex`]) of the neighbors already recolored
+//! in this pass (not yet recolored neighbors read 0, which `mex`
+//! ignores). Two guarantees carry the design:
 //!
-//! One kernel per class is race-free *by construction*: a color class
-//! of a proper coloring is an independent set, so the threads of one
-//! launch never read each other's writes, and the result is
-//! deterministic. Repeating the sweep (a *pass*) keeps helping because
-//! each pass vacates low colors that unblock the next; the loop stops
-//! when a pass moves nothing or the [`ReduceBudget`] runs out. Colors
-//! can only decrease and the coloring stays proper throughout — both
-//! properties are property-tested under random budgets.
+//! * one launch per old class is race-free and deterministic: an old
+//!   class is an independent set, so no thread of a launch reads
+//!   another's write;
+//! * the count never rises: the j-th class visited sees new colors only
+//!   in the j−1 classes before it, so it takes a color ≤ j.
+//!
+//! Passes alternate two class orders, starting with the highest old
+//! color first, then the largest class first (ties to the higher
+//! color). The loop stops at the first pass that does not lower the
+//! count, at `max_passes`, or once the [`ReduceBudget`] is spent — the
+//! budget is checked after each pass, so any positive budget buys one
+//! pass. Both properties (never more colors, always proper) are
+//! property-tested under random budgets.
 //!
 //! ```
 //! use gc_core::reduce::{reduce_colors, ReduceBudget};
@@ -33,16 +40,18 @@
 //! gc_core::assert_proper(&g, &colors);
 //! ```
 
+use std::ops::Range;
+
 use gc_graph::Csr;
-use gc_vgpu::Device;
+use gc_vgpu::{Device, DeviceBuffer};
 
 use crate::color::count_distinct;
 
 /// Minimum excluded color: the smallest color `>= 1` absent from
 /// `forbidden` (0 entries — uncolored neighbors — are ignored). Sorts
 /// in place. Every first-fit rule in the workspace uses it: the
-/// hybrid's and short-cutting colorers' commits, this post-pass, and
-/// gc-shard's conflict repair.
+/// short-cutting colorers' commits, this post-pass, and gc-shard's
+/// conflict repair.
 #[inline]
 pub fn mex(forbidden: &mut [u32]) -> u32 {
     forbidden.sort_unstable();
@@ -58,15 +67,18 @@ pub fn mex(forbidden: &mut [u32]) -> u32 {
 }
 
 /// Stop conditions for [`reduce_colors`]. The pass loop ends at the
-/// first of: a pass that moves no vertex, `max_passes` passes, or
-/// `max_model_ms` simulated milliseconds spent on the pass device.
+/// first of: a pass that does not lower the color count, `max_passes`
+/// passes, or `max_model_ms` simulated milliseconds spent on the pass
+/// device.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReduceBudget {
-    /// Hard cap on sweep passes.
+    /// Hard cap on passes; `0` runs none.
     pub max_passes: u32,
-    /// Model-time cap (ms) on the device doing the recoloring. Checked
-    /// between passes, so one pass may overshoot; `0.0` runs no pass at
-    /// all (useful to report `colors_before` cheaply).
+    /// Model-time cap (ms) on the device doing the recoloring, the
+    /// one-time graph upload included. Checked after each pass, so any
+    /// positive budget buys one pass and the last pass may overshoot;
+    /// `0.0` runs no pass and uploads nothing (useful to report
+    /// `colors_before` cheaply).
     pub max_model_ms: f64,
 }
 
@@ -97,26 +109,27 @@ pub struct ReduceOutcome {
     pub colors_before: u32,
     /// Distinct colors after the last pass.
     pub colors_after: u32,
-    /// Sweep passes executed.
+    /// Passes executed.
     pub passes: u32,
-    /// Vertices whose color changed, summed over passes.
+    /// Vertices whose color changed, summed over passes. A pass
+    /// relabels classes, so this counts moves that kept the count too.
     pub moved: u64,
     /// Simulated milliseconds the post-pass spent (uploads, per-class
-    /// kernels, downloads).
+    /// kernels, clears, downloads).
     pub model_ms: f64,
 }
 
-/// Recolors `colors` in place, never increasing the number of colors
-/// and keeping the coloring proper, until `budget` runs out or a full
-/// pass moves nothing.
+/// Recolors `colors` in place by iterated greedy, never increasing the
+/// number of colors and keeping the coloring proper, until a pass stops
+/// lowering the count or `budget` runs out.
 ///
 /// `colors` must be a proper 1-based coloring of `g` (every entry
-/// `>= 1`); pass any [`crate::Coloring`]'s slice. Each pass sweeps the
-/// color classes from the highest color down to 2, launching one
-/// kernel per class; a member moves iff the minimum excluded color of
-/// its full neighborhood is smaller than its current color. Device
-/// traffic is metered: graph and colors upload once, class slot-lists
-/// upload per kernel, colors download once per pass.
+/// `>= 1`); pass any [`crate::Coloring`]'s slice. Each pass launches one
+/// kernel per old color class, in the pass's class order (see the
+/// module docs), over that class's slice of one uploaded vertex list.
+/// Device traffic is metered: the graph uploads once, each pass uploads
+/// its vertex list and downloads its colors once, and every pass after
+/// the first clears the color buffer with a kernel.
 pub fn reduce_colors(
     dev: &Device,
     g: &Csr,
@@ -135,7 +148,7 @@ pub fn reduce_colors(
         colors_after: colors_before,
         ..ReduceOutcome::default()
     };
-    if n == 0 || colors_before <= 1 {
+    if n == 0 || colors_before <= 1 || budget.max_passes == 0 || budget.max_model_ms <= 0.0 {
         return outcome;
     }
 
@@ -146,72 +159,63 @@ pub fn reduce_colors(
     let row_off: Vec<u32> = g.row_offsets().iter().map(|&o| o as u32).collect();
     let d_row_off = dev.upload(&row_off);
     let d_cols = dev.upload(g.col_indices());
-    let d_colors = dev.upload(colors);
+    // This pass's colors; 0 marks a vertex not yet recolored.
+    let d_new = DeviceBuffer::<u32>::zeroed(n);
 
-    while outcome.passes < budget.max_passes && dev.elapsed_ms() - model0 < budget.max_model_ms {
+    loop {
         let mut pass_span = gc_telemetry::span("reduce_pass");
         let pass_model0 = if pass_span.is_recording() {
             dev.elapsed_ms()
         } else {
             0.0
         };
-        // Class lists from the host mirror. Members that moved in the
-        // previous pass are listed under their *new* color — exactly
-        // where the next sweep should look at them again.
-        let top = colors.iter().copied().max().unwrap_or(0);
-        let mut classes: Vec<Vec<u32>> = vec![Vec::new(); top as usize + 1];
-        for (v, &c) in colors.iter().enumerate() {
-            classes[c as usize].push(v as u32);
+        if outcome.passes > 0 {
+            dev.launch("reduce::clear", n, |t| t.write(&d_new, t.tid(), 0));
         }
-        let mut launched = 0u32;
-        for c in (2..=top).rev() {
-            let members = &classes[c as usize];
-            if members.is_empty() {
-                continue;
-            }
-            let slots = dev.upload(members);
-            launched += 1;
+        let (order, classes) = class_order(colors, outcome.passes % 2 == 1);
+        let d_order = dev.upload(&order);
+        for class in &classes {
             // The class is an independent set: no thread of this launch
             // reads another's write, so the kernel is deterministic.
-            dev.launch("reduce::recolor_class", members.len(), |t| {
-                let v = t.read(&slots, t.tid());
+            dev.launch("reduce::recolor_class", class.len(), |t| {
+                let v = t.read(&d_order, class.start + t.tid());
                 let lo = t.read(&d_row_off, v as usize) as usize;
                 let hi = t.read(&d_row_off, v as usize + 1) as usize;
                 let mut forbidden: Vec<u32> = Vec::with_capacity(hi - lo);
                 for e in lo..hi {
                     let u = t.read(&d_cols, e);
-                    forbidden.push(t.read(&d_colors, u as usize));
+                    forbidden.push(t.read(&d_new, u as usize));
                 }
-                let m = mex(&mut forbidden);
-                if m < c {
-                    t.write(&d_colors, v as usize, m);
-                }
+                t.write(&d_new, v as usize, mex(&mut forbidden));
             });
         }
-        // One metered download per pass refreshes the host mirror (for
-        // the next pass's class lists) and doubles as the convergence
-        // check.
-        let fresh = dev.download(&d_colors);
+        let fresh = dev.download(&d_new);
         let moved = fresh
             .iter()
             .zip(colors.iter())
             .filter(|(a, b)| a != b)
             .count() as u64;
         colors.copy_from_slice(&fresh);
+        let count = count_distinct(colors);
+        let lowered = count < outcome.colors_after;
+        outcome.colors_after = count;
         outcome.passes += 1;
         outcome.moved += moved;
         if pass_span.is_recording() {
             pass_span.attr("pass", outcome.passes);
-            pass_span.attr("classes", launched);
+            pass_span.attr("classes", classes.len());
             pass_span.attr("moved", moved);
+            pass_span.attr("colors", count);
             pass_span.set_model_range(pass_model0, dev.elapsed_ms());
         }
-        if moved == 0 {
+        if !lowered
+            || outcome.passes >= budget.max_passes
+            || dev.elapsed_ms() - model0 >= budget.max_model_ms
+        {
             break;
         }
     }
 
-    outcome.colors_after = count_distinct(colors);
     outcome.model_ms = dev.elapsed_ms() - model0;
     if span.is_recording() {
         span.attr("colors_after", outcome.colors_after);
@@ -221,11 +225,42 @@ pub fn reduce_colors(
     outcome
 }
 
+/// One pass's vertex list, grouped by old color class in visiting
+/// order, and each class's slice of it (members ascending by id).
+/// Classes are visited from the highest color down, or, when
+/// `largest_first`, by descending size with ties to the higher color.
+fn class_order(colors: &[u32], largest_first: bool) -> (Vec<u32>, Vec<Range<usize>>) {
+    let top = colors.iter().copied().max().unwrap_or(0) as usize;
+    let mut size = vec![0usize; top + 1];
+    for &c in colors {
+        size[c as usize] += 1;
+    }
+    let mut visit: Vec<usize> = (1..=top).rev().filter(|&c| size[c] > 0).collect();
+    if largest_first {
+        // Stable, so equal sizes keep the higher color first.
+        visit.sort_by_key(|&c| std::cmp::Reverse(size[c]));
+    }
+    let mut next = vec![0usize; top + 1];
+    let mut classes = Vec::with_capacity(visit.len());
+    let mut at = 0;
+    for &c in &visit {
+        next[c] = at;
+        classes.push(at..at + size[c]);
+        at += size[c];
+    }
+    let mut order = vec![0u32; colors.len()];
+    for (v, &c) in colors.iter().enumerate() {
+        order[next[c as usize]] = v as u32;
+        next[c as usize] += 1;
+    }
+    (order, classes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::is_proper;
-    use gc_graph::generators::{complete, cycle, erdos_renyi, star};
+    use gc_graph::generators::{complete, cycle, erdos_renyi, path, star};
     use gc_graph::Csr;
 
     fn reduce(g: &Csr, colors: &mut [u32], budget: ReduceBudget) -> ReduceOutcome {
@@ -263,7 +298,27 @@ mod tests {
         let mut colors: Vec<u32> = (1..=5).collect();
         let out = reduce(&g, &mut colors, ReduceBudget::default());
         assert_eq!(out.colors_after, 5);
-        assert_eq!(out.moved, 0);
+        assert_eq!(out.passes, 1, "a pass that keeps the count ends the loop");
+        assert!(is_proper(&g, &colors).is_ok());
+    }
+
+    #[test]
+    fn first_fit_local_minimum_is_escaped() {
+        // Path 0-1-2-3 colored [1, 2, 3, 1]: no vertex has a strictly
+        // smaller free color, yet recoloring the classes from the highest
+        // down gives [1, 2, 1, 2].
+        let g = path(4);
+        let mut colors = vec![1u32, 2, 3, 1];
+        let out = reduce(
+            &g,
+            &mut colors,
+            ReduceBudget {
+                max_passes: 1,
+                max_model_ms: f64::INFINITY,
+            },
+        );
+        assert_eq!(out.colors_after, 2);
+        assert_eq!(colors, vec![1, 2, 1, 2]);
     }
 
     #[test]
@@ -279,11 +334,34 @@ mod tests {
     #[test]
     fn zero_budget_runs_no_pass() {
         let g = cycle(6);
-        let mut colors: Vec<u32> = (1..=6).collect();
-        let out = reduce(&g, &mut colors, ReduceBudget::model_ms(0.0));
-        assert_eq!(out.passes, 0);
-        assert_eq!(out.colors_after, out.colors_before);
-        assert_eq!(colors, (1..=6).collect::<Vec<u32>>());
+        for budget in [
+            ReduceBudget::model_ms(0.0),
+            ReduceBudget {
+                max_passes: 0,
+                max_model_ms: f64::INFINITY,
+            },
+        ] {
+            let dev = Device::k40c();
+            let mut colors: Vec<u32> = (1..=6).collect();
+            let out = reduce_colors(&dev, &g, &mut colors, budget);
+            assert_eq!(out.passes, 0);
+            assert_eq!(out.colors_after, out.colors_before);
+            assert_eq!(colors, (1..=6).collect::<Vec<u32>>());
+            assert_eq!(out.model_ms, 0.0, "no pass, so no upload either");
+            assert_eq!(dev.profile().memcpy_bytes, 0);
+        }
+    }
+
+    #[test]
+    fn budget_below_the_upload_still_buys_one_pass() {
+        let g = cycle(12);
+        let mut colors: Vec<u32> = (1..=12).collect();
+        let budget = ReduceBudget::model_ms(1e-9);
+        let out = reduce(&g, &mut colors, budget);
+        assert!(out.model_ms > budget.max_model_ms);
+        assert_eq!(out.passes, 1);
+        assert_eq!(out.colors_after, 2);
+        assert!(is_proper(&g, &colors).is_ok());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The frontier round loop every iterative device colorer runs on.
 //!
-//! The paper's Gunrock colorers (Algorithms 5–7), the Naumov baselines,
-//! the hybrid's device phase and GPU Gebremedhin-Manne share one
-//! bulk-synchronous skeleton: run the round's operators over a frontier,
-//! contract the frontier to the vertices still in play, synchronize,
-//! repeat until it is empty. [`Rounds`] is that skeleton; a colorer
-//! supplies its round body, its contraction rule `keep` and an optional
-//! post-contraction step, and picks a launch [`Shape`].
+//! The paper's Gunrock colorers (Algorithms 5–7), the Naumov baselines
+//! and GPU Gebremedhin-Manne share one bulk-synchronous skeleton: run
+//! the round's operators over a frontier, contract the frontier to the
+//! vertices still in play, synchronize, repeat until it is empty.
+//! [`Rounds`] is that skeleton; a colorer supplies its round body, its
+//! contraction rule `keep` and an optional post-contraction step, and
+//! picks a launch [`Shape`].
 //!
 //! ```
 //! use gc_core::rounds::{Rounds, Shape};
@@ -57,14 +57,13 @@ pub enum Shape {
 }
 
 /// A frontier round loop: its launch shape, the names it bills under
-/// and its stop rules.
+/// and its round cap.
 pub struct Rounds<'d> {
     dev: &'d Device,
     shape: Shape,
     graph: &'static str,
     keep_kernel: &'static str,
     max_rounds: u32,
-    stop_below: usize,
 }
 
 impl<'d> Rounds<'d> {
@@ -83,21 +82,12 @@ impl<'d> Rounds<'d> {
             graph,
             keep_kernel,
             max_rounds: MAX_ROUNDS,
-            stop_below: 0,
         }
     }
 
     /// Caps the round count.
     pub fn max_rounds(mut self, max: u32) -> Self {
         self.max_rounds = max;
-        self
-    }
-
-    /// Stops as soon as fewer than `k` vertices survive a round, leaving
-    /// the tail to the caller (the hybrid's host finish). `0`, the
-    /// default, runs until the frontier is empty.
-    pub fn stop_below(mut self, k: usize) -> Self {
-        self.stop_below = k;
         self
     }
 
@@ -192,7 +182,7 @@ impl<'d> Rounds<'d> {
                 span.attr("frontier_uncolored", left);
                 span.set_model_range(model0, self.dev.elapsed_ms());
             }
-            if left == 0 || left < self.stop_below {
+            if left == 0 {
                 return rounds;
             }
         }
@@ -267,16 +257,5 @@ mod tests {
         Rounds::new(&d, Shape::Compacted, "test::round", "test::keep")
             .max_rounds(10)
             .run(4, |_, _| {}, |_, _| true, |_| {});
-    }
-
-    #[test]
-    fn stop_below_leaves_the_tail() {
-        for shape in [Shape::Compacted, Shape::FullWidth] {
-            let d = dev();
-            // 12 vertices, 2 retired per round: after round 3, 4 remain,
-            // fewer than 5, so the loop stops there.
-            let rounds = Rounds::new(&d, shape, "test::round", "test::keep").stop_below(5);
-            assert_eq!(retire(rounds, 12, 2), 4, "{shape:?}");
-        }
     }
 }

@@ -11,10 +11,9 @@ use crate::color::ColoringResult;
 use crate::greedy::Ordering;
 use crate::gunrock_hash::HashConfig;
 use crate::gunrock_is::IsConfig;
-use crate::hybrid::HybridConfig;
 use crate::{
     gblas_is, gblas_jpl, gblas_mis, gm_cpu, gm_gpu, greedy, gunrock_ar, gunrock_hash, gunrock_is,
-    hybrid, jp_cpu, naumov,
+    jp_cpu, naumov,
 };
 
 /// Which algorithm a [`Colorer`] runs.
@@ -33,9 +32,6 @@ pub enum ColorerKind {
     GblasJpl,
     NaumovJpl,
     NaumovCc,
-    /// Quality tier: min-max first-fit Jones-Plassmann on device,
-    /// sequential greedy on the straggler tail (Rai & Pai).
-    HybridJp(HybridConfig),
     /// Future-work extension (paper §VI): Gebremedhin-Manne on the GPU.
     GebremedhinManne,
     /// Related-work baseline (§II.A): shared-memory Gebremedhin-Manne
@@ -88,8 +84,8 @@ impl Colorer {
     /// compaction and no launch-graph capture — the transcription before
     /// this reproduction's compaction and capture passes. Table II and
     /// the coloring benchmark's `before` side measure this shape.
-    /// Colorers without a compacted path (the host colorers, the hybrid,
-    /// GPU Gebremedhin-Manne, short-cutting GraphBLAST IS) run as
+    /// Colorers without a compacted path (the host colorers, GPU
+    /// Gebremedhin-Manne, short-cutting GraphBLAST IS) run as
     /// [`Colorer::run`]. Colorings and iteration counts equal `run`'s.
     pub fn run_full_width(&self, g: &Csr, seed: u64) -> ColoringResult {
         self.traced(g, || {
@@ -154,7 +150,6 @@ impl Colorer {
             ColorerKind::NaumovJpl => Some(naumov::jpl_on(dev, g, seed)),
             ColorerKind::NaumovCc => Some(naumov::cc_on(dev, g, seed)),
             ColorerKind::GebremedhinManne => Some(gm_gpu::run_on(dev, g, seed)),
-            ColorerKind::HybridJp(cfg) => Some(hybrid::run_on(dev, g, seed, cfg)),
         }
     }
 
@@ -173,7 +168,6 @@ impl Colorer {
             ColorerKind::NaumovCc => naumov::naumov_cc(g, seed),
             ColorerKind::GebremedhinManne => gm_gpu::gebremedhin_manne(g, seed),
             ColorerKind::GebremedhinManneCpu => gm_cpu::gebremedhin_manne_cpu(g, seed),
-            ColorerKind::HybridJp(cfg) => hybrid::run_on(&gc_vgpu::Device::k40c(), g, seed, cfg),
         }
     }
 }
@@ -234,10 +228,6 @@ pub fn extension_colorers() -> Vec<Colorer> {
         ),
         Colorer::new("CPU/Color_JP", ColorerKind::CpuJonesPlassmann),
         Colorer::new("CPU/Color_GM", ColorerKind::GebremedhinManneCpu),
-        Colorer::new(
-            "Hybrid/Color_JP",
-            ColorerKind::HybridJp(HybridConfig::default()),
-        ),
         Colorer::new(
             "Gunrock/Color_IS_SC",
             ColorerKind::GunrockIs(IsConfig::short_cut()),

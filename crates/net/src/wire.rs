@@ -1037,14 +1037,14 @@ mod tests {
             graph_id: 5,
             version: 2,
             num_colors: 6,
-            colorer: "Hybrid/Color_JP".into(),
+            colorer: "Naumov/Color_CC".into(),
             cache_hit: false,
             verified: true,
-            model_ms: 3.25,
-            iterations: 4,
+            model_ms: 1.75,
+            iterations: 6,
             thread_executions: 123_456,
             devices: 1,
-            colors_before: 7,
+            colors_before: 25,
             colors_after: 6,
             reduction_passes: 2,
         };

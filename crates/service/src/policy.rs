@@ -18,13 +18,13 @@
 //!   policy switches to the load-balanced IS variant (the fix suggested
 //!   by the paper's §V.B discussion and by Chen et al.'s sparse-coloring
 //!   follow-up).
-//! * [`Objective::MinColors`] — the quality tier: `Hybrid/Color_JP`
-//!   (first-fit Jones-Plassmann rounds with a sequential straggler
-//!   tail), whose greedy-grade assignments land within a color or two
-//!   of the CPU baseline at a fraction of the device work. The worker
-//!   then runs the [`gc_core::reduce`] post-pass within the request's
-//!   model-time budget. Tiny graphs go straight to sequential greedy,
-//!   same as the other objectives.
+//! * [`Objective::MinColors`] — the quality tier: `Naumov/Color_CC`,
+//!   the same cheap base `Fastest` runs, after which the worker spends
+//!   the request's model-time budget in the [`gc_core::reduce`]
+//!   iterated-greedy post-pass. One pass takes the base to the CPU
+//!   baseline's count on the gated meshes at a fraction of the MIS
+//!   pipeline's device work. Tiny graphs go straight to sequential
+//!   greedy, same as the other objectives.
 //! * [`Objective::Explicit`] — escape hatch through
 //!   [`gc_core::runner::colorer_by_name`], which resolves Figure 1 and
 //!   §VI extension names alike.
@@ -81,9 +81,8 @@ pub fn choose(feats: &GraphFeatures, objective: &Objective) -> Result<Colorer, S
         Objective::Fastest | Objective::MinColors { .. } | Objective::Balanced if tiny => {
             "CPU/Color_Greedy"
         }
-        Objective::Fastest => "Naumov/Color_CC",
+        Objective::Fastest | Objective::MinColors { .. } => "Naumov/Color_CC",
         Objective::FewestColors => "GraphBLAST/Color_MIS",
-        Objective::MinColors { .. } => "Hybrid/Color_JP",
         Objective::Balanced if feats.degree_cv > IRREGULAR_DEGREE_CV => "Extension/Color_IS_LB",
         Objective::Balanced => "Gunrock/Color_IS",
     };
@@ -148,10 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn min_colors_routes_to_hybrid_jp() {
+    fn min_colors_routes_to_naumov_cc() {
         let g = big_mesh();
         let c = choose(&features(&g), &Objective::MinColors { budget_ms: 5 }).unwrap();
-        assert_eq!(c.name(), "Hybrid/Color_JP");
+        assert_eq!(c.name(), "Naumov/Color_CC");
         assert!(c.is_gpu());
     }
 

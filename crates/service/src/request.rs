@@ -21,13 +21,14 @@ pub enum Objective {
     FewestColors,
     /// The knee of the trade-off curve (Gunrock/Color_IS territory).
     Balanced,
-    /// The quality tier: run the hybrid first-fit colorer (or sequential
-    /// greedy on tiny graphs — see [`crate::policy::choose`]), then
-    /// spend up to `budget_ms` of *model* time squeezing further colors
-    /// out with the iterated [`gc_core::reduce::reduce_colors`]
-    /// post-pass. `budget_ms: 0` skips the post-pass entirely. A prior
-    /// cached run of the same base colorer (under any objective) seeds
-    /// the post-pass without a from-scratch recolor; reduced results are
+    /// The quality tier: run `Naumov/Color_CC`, the same base as
+    /// [`Objective::Fastest`] (or sequential greedy on tiny graphs — see
+    /// [`crate::policy::choose`]), then spend up to `budget_ms` of
+    /// *model* time squeezing colors out with the iterated-greedy
+    /// [`gc_core::reduce::reduce_colors`] post-pass. `budget_ms: 0`
+    /// skips the post-pass entirely. A prior cached run of the same base
+    /// colorer (under any objective, so a `Fastest` run under the same
+    /// seed too) seeds the post-pass without a recolor; reduced results are
     /// cached under their own budget-tagged key so they never shadow
     /// base entries (see [`crate::cache::CacheKey::reduce_budget_ms`]).
     MinColors {

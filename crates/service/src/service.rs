@@ -808,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn min_colors_runs_hybrid_and_post_pass() {
+    fn min_colors_runs_naumov_cc_and_post_pass() {
         let svc = ColoringService::start(ServiceConfig::default());
         let h = svc.handle();
         let g = mesh();
@@ -819,13 +819,13 @@ mod tests {
             ))
             .unwrap();
         assert!(resp.verified);
-        assert_eq!(resp.colorer, "Hybrid/Color_JP");
+        assert_eq!(resp.colorer, "Naumov/Color_CC");
         assert!(is_proper(&g, resp.coloring.as_slice()).is_ok());
-        // The post-pass ran and reported its before/after story.
-        assert!(resp.colors_before >= resp.colors_after);
+        // The post-pass ran and reported its before/after story: CC burns
+        // colors, and iterated greedy takes most of them back.
+        assert!(resp.colors_before > resp.colors_after);
         assert_eq!(resp.colors_after, resp.num_colors);
         assert!(resp.reduction_passes >= 1);
-        // Hybrid first-fit on a five-point mesh is already near-optimal.
         assert!(resp.num_colors <= 6, "got {} colors", resp.num_colors);
         svc.shutdown();
     }
@@ -858,7 +858,7 @@ mod tests {
         let base = h
             .color(ColorRequest::new(
                 Arc::clone(&g),
-                Objective::Explicit("Hybrid/Color_JP".into()),
+                Objective::Explicit("Naumov/Color_CC".into()),
             ))
             .unwrap();
         assert!(!base.cache_hit);
@@ -882,7 +882,7 @@ mod tests {
         let again = h
             .color(ColorRequest::new(
                 Arc::clone(&g),
-                Objective::Explicit("Hybrid/Color_JP".into()),
+                Objective::Explicit("Naumov/Color_CC".into()),
             ))
             .unwrap();
         assert!(again.cache_hit);
@@ -917,12 +917,49 @@ mod tests {
         let base = h
             .color(ColorRequest::new(
                 g,
-                Objective::Explicit("Hybrid/Color_JP".into()),
+                Objective::Explicit("Naumov/Color_CC".into()),
             ))
             .unwrap();
         assert!(base.cache_hit);
         assert_eq!(base.reduction_passes, 0);
         svc.shutdown();
+    }
+
+    #[test]
+    fn fastest_run_primes_the_min_colors_base_entry() {
+        let tracer = gc_telemetry::Tracer::new();
+        let svc = ColoringService::start(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            }
+            .with_tracer(tracer.clone()),
+        );
+        let h = svc.handle();
+        let g = mesh();
+        let fast = h
+            .color(ColorRequest::new(Arc::clone(&g), Objective::Fastest))
+            .unwrap();
+        assert_eq!(fast.colorer, "Naumov/Color_CC");
+        assert_eq!(svc.cache_len(), 1);
+
+        // Same seed, same base colorer: MinColors reduces the cached
+        // Fastest coloring instead of recoloring, and adds only its own
+        // budget-tagged entry.
+        let reduced = h
+            .color(ColorRequest::new(g, Objective::MinColors { budget_ms: 50 }))
+            .unwrap();
+        assert!(!reduced.cache_hit);
+        assert_eq!(reduced.colorer, "Naumov/Color_CC");
+        assert_eq!(reduced.colors_before, fast.num_colors);
+        assert!(reduced.num_colors < fast.num_colors);
+        assert_eq!(svc.cache_len(), 2);
+        svc.shutdown();
+
+        let records = tracer.records();
+        let count = |name: &str| records.iter().filter(|r| r.name == name).count();
+        assert_eq!(count("cache_hit_base"), 1);
+        assert_eq!(count("color"), 1, "only the Fastest request ran a colorer");
     }
 
     #[test]

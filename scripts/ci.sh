@@ -78,8 +78,8 @@ echo "==> bench reproduction: repro bench --devices 4,8 --quality matches BENCH_
 # The committed artifact must reproduce from the source: a change that
 # moves a model number without regenerating the file fails here. Only
 # host wall time may differ. --quality also exercises the pareto sweep
-# (hybrid JP, short-cutting IS, +reduce post-pass arms), whose gates
-# bench-check enforces on the committed file below.
+# (short-cutting IS, the Naumov/Color_CC+reduce post-pass arm), whose
+# gates bench-check enforces on the committed file below.
 cargo run --release -q -p gc-bench --bin repro -- \
   bench --devices 4,8 --quality --out "$trace_dir/bench_full.json"
 strip_wall() { sed -E 's/"wall_ms": [0-9.]+/"wall_ms": _/g' "$1"; }
@@ -94,12 +94,18 @@ diff <(grep -v '^CSV written to' repro_output.txt) \
 cmp results/fig1.csv "$trace_dir/results/fig1.csv"
 cmp results/fig3.csv "$trace_dir/results/fig3.csv"
 
-echo "==> scale-sweep smoke: one sweep step + bench-check validation"
+echo "==> scale-sweep smoke: one sweep step + bench-check + diff against the committed rows"
 # Scale 15 only for CI speed; the committed artifact is the 15..24 run.
 cargo run --release -q -p gc-bench --bin repro -- \
   scale-sweep --rgg 15:15 --out "$trace_dir/bench_scale.json"
 cargo run --release -q -p gc-bench --bin repro -- \
   bench-check "$trace_dir/bench_scale.json"
+# The regenerated rows must equal the committed scale-15 rows; only host
+# wall time and the row's trailing comma may differ.
+scale15_rows() {
+  grep '"scale": 15,' "$1" | sed -E 's/"wall_ms": [0-9.]+/"wall_ms": _/; s/,$//'
+}
+diff <(scale15_rows BENCH_scale.json) <(scale15_rows "$trace_dir/bench_scale.json")
 
 echo "==> bench-check every committed BENCH_*.json"
 # bench-check dispatches on each document's schema, so an artifact that
