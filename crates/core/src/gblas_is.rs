@@ -22,6 +22,7 @@ use gc_vgpu::rng::vertex_weight_i64;
 use gc_vgpu::{Device, Frontier};
 
 use crate::color::ColoringResult;
+use crate::reduce::Forbidden;
 
 /// Safety cap on colors (the paper's `for color = 1..n`).
 const MAX_COLORS: u32 = 100_000;
@@ -62,10 +63,9 @@ pub fn gblas_is_sc(g: &Csr, seed: u64) -> ColoringResult {
 /// Winner sets are identical — the select op is untouched and the weight
 /// kill is the same — so iteration counts match. Each round's winner set
 /// is an independent set (tie-free weights), so no winner reads another
-/// winner's fresh color: the mex inputs are stable within the round,
-/// re-evaluation under the compaction's double-evaluation contract
-/// recomputes the same value, and the color count can only end at or
-/// below the round-indexed variant's.
+/// winner's fresh color: the mex inputs are stable within the round
+/// whatever order the compaction runs the winners in, and the color
+/// count can only end at or below the round-indexed variant's.
 pub fn run_on(dev: &Device, g: &Csr, seed: u64, short_cutting: bool) -> ColoringResult {
     use std::cell::{Cell, RefCell};
 
@@ -129,14 +129,14 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, short_cutting: bool) -> Coloring
                 if !short_cutting {
                     return round_color;
                 }
-                let mut forbidden: Vec<u32> = Vec::new();
+                let mut forbidden = Forbidden::new();
                 for j in a.cols_seq(t, i) {
                     let cj = c.read(t, j as usize);
                     if cj != 0 {
                         forbidden.push(cj as u32);
                     }
                 }
-                crate::reduce::mex(&mut forbidden) as i64
+                forbidden.mex() as i64
             },
             &[(&weight, 0)],
             &cur,

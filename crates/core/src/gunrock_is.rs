@@ -23,6 +23,7 @@ use gc_vgpu::rng::vertex_weight;
 use gc_vgpu::{Device, DeviceBuffer, Frontier};
 
 use crate::color::ColoringResult;
+use crate::reduce::Forbidden;
 use crate::rounds::{Rounds, Shape};
 
 /// How per-vertex priorities are generated.
@@ -254,15 +255,17 @@ fn run(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig, shape: Shape) -> Colorin
                     if t.read(&winner, v as usize) != flag || t.read(&colors, v as usize) != 0 {
                         return;
                     }
-                    let (s, e) = csr.neighbor_range(t, v);
-                    let mut forbidden: Vec<u32> = Vec::with_capacity(e - s);
+                    // A billed row-extent read: on hardware it sizes the
+                    // thread's local scratch.
+                    let _ = csr.neighbor_range(t, v);
+                    let mut forbidden = Forbidden::new();
                     for u in csr.neighbors_seq(t, v) {
                         let cu = t.read(&colors, u as usize);
                         if cu != 0 {
                             forbidden.push(cu);
                         }
                     }
-                    t.write(&colors, v as usize, crate::reduce::mex(&mut forbidden));
+                    t.write(&colors, v as usize, forbidden.mex());
                 });
             };
             commit("is::sc_commit_max", 1);

@@ -66,6 +66,62 @@ pub fn mex(forbidden: &mut [u32]) -> u32 {
     c
 }
 
+/// First-fit scratch for one simulated thread: the colors its neighbors
+/// hold, gathered into a fixed stack buffer and spilled to the heap only
+/// past [`Forbidden::INLINE`] entries, so a first-fit kernel takes its
+/// [`mex`] without a heap allocation per thread on typical degrees. Every
+/// in-kernel first-fit rule gathers through it; the result is exactly
+/// [`mex`] of the pushed colors.
+#[derive(Debug)]
+pub struct Forbidden {
+    len: usize,
+    inline: [u32; Forbidden::INLINE],
+    spill: Vec<u32>,
+}
+
+impl Forbidden {
+    /// Colors held on the stack before the first heap spill.
+    pub const INLINE: usize = 32;
+
+    pub fn new() -> Self {
+        Forbidden {
+            len: 0,
+            inline: [0; Forbidden::INLINE],
+            spill: Vec::new(),
+        }
+    }
+
+    /// Adds one neighbor color (0, uncolored, is ignored by [`Self::mex`]).
+    #[inline]
+    pub fn push(&mut self, color: u32) {
+        if self.len < Self::INLINE {
+            self.inline[self.len] = color;
+        } else {
+            if self.len == Self::INLINE {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(color);
+        }
+        self.len += 1;
+    }
+
+    /// The smallest color `>= 1` not pushed ([`mex`] of the gathered set).
+    #[inline]
+    pub fn mex(&mut self) -> u32 {
+        if self.len <= Self::INLINE {
+            mex(&mut self.inline[..self.len])
+        } else {
+            mex(&mut self.spill)
+        }
+    }
+}
+
+impl Default for Forbidden {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Stop conditions for [`reduce_colors`]. The pass loop ends at the
 /// first of: a pass that does not lower the color count, `max_passes`
 /// passes, or `max_model_ms` simulated milliseconds spent on the pass
@@ -181,12 +237,12 @@ pub fn reduce_colors(
                 let v = t.read(&d_order, class.start + t.tid());
                 let lo = t.read(&d_row_off, v as usize) as usize;
                 let hi = t.read(&d_row_off, v as usize + 1) as usize;
-                let mut forbidden: Vec<u32> = Vec::with_capacity(hi - lo);
+                let mut forbidden = Forbidden::new();
                 for e in lo..hi {
                     let u = t.read(&d_cols, e);
                     forbidden.push(t.read(&d_new, u as usize));
                 }
-                t.write(&d_new, v as usize, mex(&mut forbidden));
+                t.write(&d_new, v as usize, forbidden.mex());
             });
         }
         let fresh = dev.download(&d_new);

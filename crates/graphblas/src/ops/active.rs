@@ -159,11 +159,9 @@ pub fn assign_scalar_where<T: Scalar>(
 /// `assign_scalar_where` launches plus a separate contraction into the
 /// single fused compaction kernel.
 ///
-/// `cond` must not alias any assigned vector: the compaction evaluates
-/// its predicate more than once (host rank pre-pass, then the metered
-/// kernel), so the writes must not change what `cond` reads. The writes
-/// themselves are idempotent scalar stores, which is what makes the
-/// double evaluation safe.
+/// Each active row reads `cond` and writes the assigned vectors only at
+/// its own index, once, so rows never race, even when `cond` aliases an
+/// assigned vector.
 pub fn assign_where_compact<T: Scalar>(
     dev: &Device,
     name: &str,
@@ -193,13 +191,11 @@ pub fn assign_where_compact<T: Scalar>(
 /// the lowest color its neighborhood permits rather than taking the
 /// round index.
 ///
-/// The same double-evaluation contract applies, and `f` carries most of
-/// its weight: the compaction may invoke the predicate (and therefore
-/// `f`) more than once, so `f` must be deterministic and must not read
-/// anything the fused writes change. When the truthy rows of `cond`
-/// form an independent set of the matrix `f` scans (Luby winners do),
-/// no retiring row reads another's `target` entry, every re-evaluation
-/// recomputes the same value, and the store is idempotent.
+/// `f` runs once per retiring row, concurrently with the other rows'
+/// writes, so it must not read anything another row's fused writes
+/// change. When the truthy rows of `cond` form an independent set of
+/// the matrix `f` scans (Luby winners do), no retiring row reads
+/// another's `target` entry and the result is deterministic.
 pub fn apply_where_compact<T: Scalar, F>(
     dev: &Device,
     name: &str,

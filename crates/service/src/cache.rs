@@ -15,17 +15,48 @@ use std::sync::Mutex;
 
 use gc_graph::{Csr, EdgeDelta};
 
-/// 64-bit hash of the CSR structure, mixed in one word per step.
-/// Stable across runs (no per-process hash seeding), so cache behaviour
-/// is reproducible.
+/// Independent mixing chains in [`graph_fingerprint`].
+const LANES: usize = 4;
+
+/// 64-bit hash of the CSR structure. Row offsets, then column indices
+/// packed two per word, feed `LANES` (4) independent mixing chains
+/// round-robin, so their multiply latencies overlap; the lanes then fold
+/// in lane order into one chain with the lengths and the words left
+/// over. The fold is sequential, not commutative, so words that trade
+/// lanes still change the hash. Stable across runs (no per-process hash
+/// seeding), so cache behaviour is reproducible.
 pub fn graph_fingerprint(g: &Csr) -> u64 {
+    let (rows, cols) = (g.row_offsets(), g.col_indices());
+    let mut lanes: [Mix; LANES] = std::array::from_fn(|i| {
+        Mix(Mix::new().0 ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    });
+    let mut feed = |words: [u64; LANES]| {
+        for (lane, w) in lanes.iter_mut().zip(words) {
+            lane.write_u64(w);
+        }
+    };
+    let mut row_words = rows.chunks_exact(LANES);
+    for c in &mut row_words {
+        feed(std::array::from_fn(|i| c[i] as u64));
+    }
+    let mut col_pairs = cols.chunks_exact(2 * LANES);
+    for c in &mut col_pairs {
+        feed(std::array::from_fn(|i| {
+            (c[2 * i] as u64) << 32 | c[2 * i + 1] as u64
+        }));
+    }
     let mut h = Mix::new();
     h.write_u64(g.num_vertices() as u64);
-    for &r in g.row_offsets() {
+    h.write_u64(rows.len() as u64);
+    h.write_u64(cols.len() as u64);
+    for &r in row_words.remainder() {
         h.write_u64(r as u64);
     }
-    for &c in g.col_indices() {
+    for &c in col_pairs.remainder() {
         h.write_u64(c as u64);
+    }
+    for lane in &lanes {
+        h.write_u64(lane.finish());
     }
     h.finish()
 }

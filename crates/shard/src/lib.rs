@@ -47,8 +47,8 @@
 //! conflict kernels reuse them instead of re-buying the H2D transfer a
 //! real implementation would never repeat; partition addressing (send
 //! lists, halo indices) is host-precomputed setup metadata, the same
-//! treatment the vgpu fused-compaction primitives give their
-//! host-premirrored rank arrays. Every *dynamic* byte — halo traffic,
+//! treatment the two-kernel vgpu compaction gives its host mirror of
+//! the scanned ranks. Every *dynamic* byte — halo traffic,
 //! per-round deltas, the final boundary download — is fully metered.
 //!
 //! Determinism: the partition is deterministic, per-shard seeds are a
@@ -72,7 +72,7 @@
 //! ```
 
 use gc_core::color::ColoringResult;
-use gc_core::reduce::mex;
+use gc_core::reduce::Forbidden;
 use gc_core::runner::Colorer;
 use gc_core::verify::is_proper;
 use gc_graph::{Csr, Partition, PartitionStrategy, VertexId};
@@ -527,8 +527,8 @@ impl InitialConflicts {
 
 /// Host-side addressing of the halo exchange, precomputed from the
 /// partition and the round-1 conflict frontier (setup metadata, captured
-/// by kernels the way the vgpu fused primitives capture their
-/// host-premirrored rank arrays).
+/// by kernels the way the two-kernel vgpu compaction captures its host
+/// mirror of the scanned ranks).
 ///
 /// For every ordered peer pair `(exporter i, importer j)` the exporter
 /// keeps a **send list** — the sorted slots of `i`'s boundary that the
@@ -732,8 +732,8 @@ struct DevState<'a> {
     /// Per-slot staged replacement color (valid where `CHANGED`).
     staged: DeviceBuffer<u32>,
     /// Conflict frontier: the slots this round scans (host-mirrored
-    /// slot list, captured by kernels like the fused primitives'
-    /// host-premirrored rank arrays; seeded from the merge step's
+    /// slot list, captured by kernels like the two-kernel compaction's
+    /// host rank mirror; seeded from the merge step's
     /// host-side round-1 detection, then maintained by the per-round
     /// flag pre-pass).
     front_host: Vec<u32>,
@@ -1172,7 +1172,7 @@ fn resolve_conflicts(
                             let hi = t.read(cut_off, b + 1) as usize;
                             let llo = t.read(row_off, v) as usize;
                             let lhi = t.read(row_off, v + 1) as usize;
-                            let mut forbidden = Vec::with_capacity(lhi - llo + hi - lo);
+                            let mut forbidden = Forbidden::new();
                             for u in t.read_seq_run(cols, llo, lhi).iter() {
                                 forbidden.push(t.read(colors_b, u as usize));
                             }
@@ -1180,7 +1180,7 @@ fn resolve_conflicts(
                                 let packed = t.read(halo_idx, e);
                                 forbidden.push(t.read(halo, (packed & !LARGER_BIT) as usize));
                             }
-                            t.write(staged, b, mex(&mut forbidden));
+                            t.write(staged, b, forbidden.mex());
                         });
                 }
             } else {
@@ -1218,7 +1218,7 @@ fn resolve_conflicts(
                         // neighbor holds.
                         let llo = t.read(row_off, v) as usize;
                         let lhi = t.read(row_off, v + 1) as usize;
-                        let mut forbidden = Vec::with_capacity(lhi - llo + hi - lo);
+                        let mut forbidden = Forbidden::new();
                         for u in t.read_seq_run(cols, llo, lhi).iter() {
                             forbidden.push(t.read(colors_b, u as usize));
                         }
@@ -1226,14 +1226,14 @@ fn resolve_conflicts(
                             let packed = t.read(halo_idx, e);
                             forbidden.push(t.read(halo, (packed & !LARGER_BIT) as usize));
                         }
-                        t.write(staged, b, mex(&mut forbidden));
+                        t.write(staged, b, forbidden.mex());
                     }
                 });
 
-                // Frontier maintenance is the host rank pre-pass over
-                // the flag buffer (stable between the detect above and
-                // the commit below), exactly like the vgpu fused
-                // compaction primitives' host-premirrored ranks.
+                // Frontier maintenance is a host pass over the flag
+                // buffer (stable between the detect above and the commit
+                // below), like the two-kernel vgpu compaction's host
+                // mirror of the scanned ranks.
                 let mut nh = Vec::new();
                 let mut ch = Vec::new();
                 for &b in &st.front_host {

@@ -46,7 +46,7 @@
 //! assert!(is_proper(&g, &colors).is_ok());
 //! ```
 
-use gc_core::reduce::mex;
+use gc_core::reduce::{mex, Forbidden};
 use gc_graph::{Csr, VertexId};
 use gc_vgpu::{Device, DeviceBuffer};
 
@@ -190,13 +190,12 @@ pub fn repair_frontier(
                     return;
                 }
             }
-            let mut forbidden: Vec<u32> = Vec::with_capacity(hi - lo);
+            let mut forbidden = Forbidden::new();
             for e in lo..hi {
                 let u = t.read(&d_cols, e);
                 forbidden.push(t.read(&d_colors, u as usize));
             }
-            let c = mex(&mut forbidden);
-            t.write(&d_colors, v as usize, c);
+            t.write(&d_colors, v as usize, forbidden.mex());
             t.write(&acted, t.tid(), 1);
         });
         outcome.recolored += dev.download(&acted).iter().sum::<u32>();

@@ -7,7 +7,10 @@ use crate::scalar::Scalar;
 
 static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 
-fn next_id() -> u64 {
+/// A fresh buffer id. Ids are never reused, so the access tracker can
+/// tell buffers apart; [`DeviceBuffer::from_slice_with_id`] takes one
+/// reserved ahead of the buffer.
+pub(crate) fn next_id() -> u64 {
     NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -55,17 +58,21 @@ impl<T: Scalar> DeviceBuffer<T> {
     /// [`crate::Device::upload`] for the metered path). Pool-aware like
     /// [`DeviceBuffer::filled`].
     pub fn from_slice(data: &[T]) -> Self {
+        Self::from_slice_with_id(next_id(), data)
+    }
+
+    /// [`DeviceBuffer::from_slice`] under an id taken from [`next_id`]
+    /// earlier, for a buffer whose accesses were billed before its
+    /// contents existed.
+    pub(crate) fn from_slice_with_id(id: u64, data: &[T]) -> Self {
         if let Some(cells) = pool::claim::<T::Atomic>(data.len()) {
             for (c, &v) in cells.iter().zip(data) {
                 T::store(c, v);
             }
-            return DeviceBuffer {
-                id: next_id(),
-                cells,
-            };
+            return DeviceBuffer { id, cells };
         }
         DeviceBuffer {
-            id: next_id(),
+            id,
             cells: data.iter().map(|&v| T::new_cell(v)).collect(),
         }
     }

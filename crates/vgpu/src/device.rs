@@ -46,7 +46,8 @@ pub struct Device {
 }
 
 /// Launches with at most this many blocks run inline on the calling
-/// thread: below this, rayon's fork-join costs more than it buys.
+/// thread: below this, handing blocks to the pool's helper threads
+/// costs more than it buys.
 const SERIAL_BLOCK_LIMIT: usize = 4;
 
 /// Completion handle of an asynchronous peer transfer
@@ -154,6 +155,20 @@ impl Device {
     where
         F: Fn(&mut ThreadCtx) + Sync,
     {
+        self.launch_gather(name, n_threads, |t, _: &mut ()| kernel(t));
+    }
+
+    /// [`Device::launch`] with a host-side accumulator per executor task:
+    /// `kernel` also receives the `S` of the task running its thread.
+    /// Tasks cover contiguous block ranges and run their blocks, warps
+    /// and lanes in ascending order, so the returned accumulators, in
+    /// task order, saw every thread in `tid` order. Metering is exactly
+    /// [`Device::launch`]'s; the accumulators are unmetered.
+    pub(crate) fn launch_gather<S, F>(&self, name: &str, n_threads: usize, kernel: F) -> Vec<S>
+    where
+        S: Default + Send,
+        F: Fn(&mut ThreadCtx, &mut S) + Sync,
+    {
         let trace_start = self.trace_start();
         let name = intern_name(name);
         let costs = self.costs;
@@ -164,7 +179,7 @@ impl Device {
         // Executes one block serially, accumulating its launch stats.
         // Stats merging is integer sums plus maxes, so any partition of
         // blocks into tasks yields bit-identical totals.
-        let run_block = |b: usize| {
+        let run_block = |b: usize, acc: &mut S| {
             let mut block_stats = LaunchStats::default();
             let start = b * block;
             let end = ((b + 1) * block).min(n_threads);
@@ -180,7 +195,7 @@ impl Device {
                 let mut ctx = ThreadCtx::new(t, warp_size, costs);
                 for tid in t..warp_end {
                     ctx.begin_lane(tid);
-                    kernel(&mut ctx);
+                    kernel(&mut ctx, acc);
                     let c = ctx.counters();
                     warp_max.cycles = warp_max.cycles.max(c.cycles);
                     warp_max.bytes = warp_max.bytes.max(c.bytes);
@@ -191,36 +206,39 @@ impl Device {
             }
             block_stats
         };
+        let run_task = |lo: usize, hi: usize| {
+            let mut acc = S::default();
+            let stats = (lo..hi)
+                .map(|b| run_block(b, &mut acc))
+                .fold(LaunchStats::default(), LaunchStats::merge);
+            (stats, acc)
+        };
 
-        // Zero threads: no blocks execute. The host still paid for the
-        // launch, so overhead is billed and the launch is recorded.
-        let stats = if n_threads == 0 {
-            LaunchStats::default()
+        let num_blocks = n_threads.div_ceil(block);
+        let (stats, accs) = if num_blocks <= SERIAL_BLOCK_LIMIT {
+            // Tiny launch: run inline, skipping the pool hand-off. Zero
+            // threads run no block, but the host still paid for the
+            // launch, so overhead is billed and the launch is recorded.
+            let (stats, acc) = run_task(0, num_blocks);
+            (stats, vec![acc])
         } else {
-            let num_blocks = n_threads.div_ceil(block);
-            if num_blocks <= SERIAL_BLOCK_LIMIT {
-                // Tiny launch: run inline, skipping fork-join entirely.
-                (0..num_blocks)
-                    .map(run_block)
-                    .fold(LaunchStats::default(), LaunchStats::merge)
-            } else {
-                // Chunk several blocks per rayon task so the fork-join
-                // overhead amortizes (about four tasks per pool thread).
-                let chunk = num_blocks
-                    .div_ceil(rayon::current_num_threads().max(1) * 4)
-                    .max(1);
-                let tasks = num_blocks.div_ceil(chunk);
-                (0..tasks)
-                    .into_par_iter()
-                    .map(|task| {
-                        let lo = task * chunk;
-                        let hi = (lo + chunk).min(num_blocks);
-                        (lo..hi)
-                            .map(run_block)
-                            .fold(LaunchStats::default(), LaunchStats::merge)
-                    })
-                    .reduce(LaunchStats::default, LaunchStats::merge)
+            // Chunk several blocks per rayon task so per-task overhead
+            // amortizes (about four tasks per pool thread).
+            let chunk = num_blocks
+                .div_ceil(rayon::current_num_threads().max(1) * 4)
+                .max(1);
+            let tasks = num_blocks.div_ceil(chunk);
+            let parts: Vec<(LaunchStats, S)> = (0..tasks)
+                .into_par_iter()
+                .map(|task| run_task(task * chunk, ((task + 1) * chunk).min(num_blocks)))
+                .collect();
+            let mut stats = LaunchStats::default();
+            let mut accs = Vec::with_capacity(parts.len());
+            for (s, acc) in parts {
+                stats = stats.merge(s);
+                accs.push(acc);
             }
+            (stats, accs)
         };
 
         let cost = kernel_cost(&self.cfg, &stats);
@@ -246,6 +264,7 @@ impl Device {
                 ],
             );
         }
+        accs
     }
 
     /// Captures a kernel pipeline for replay, without executing it.

@@ -85,9 +85,9 @@ impl Frontier {
     /// their convergence test instead of a separate full-width count
     /// (bill that consumption with [`Frontier::read_len`]).
     ///
-    /// `pred` may be evaluated more than once per item (the fused
-    /// compaction's host rank pre-pass), so it must be deterministic;
-    /// side effects are allowed when idempotent.
+    /// `pred` runs exactly once per item, inside the metered launch.
+    /// Items run concurrently, so any side effects must not race (write
+    /// only the item's own slots, or use atomics).
     pub fn contract<P>(&self, dev: &Device, name: &str, pred: P) -> Frontier
     where
         P: Fn(&mut ThreadCtx, u32) -> bool + Sync,

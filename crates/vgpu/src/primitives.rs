@@ -8,18 +8,18 @@
 //! which is exactly the overhead the paper measures for its AR
 //! implementation — while the *values* are computed deterministically.
 
-use crate::buffer::DeviceBuffer;
+use crate::buffer::{next_id, DeviceBuffer};
 use crate::device::Device;
 use crate::scalar::Scalar;
-use crate::thread::{intern_costs, ThreadCtx};
+use crate::thread::ThreadCtx;
 
 /// Cycles billed per tree-reduction step inside a warp (shuffle cost).
-const SHUFFLE_CYCLES: u64 = 6;
+pub(crate) const SHUFFLE_CYCLES: u64 = 6;
 
 /// Cycles billed per thread for the decoupled-lookback wait in the
 /// single-pass fused compaction (the spin on the previous block's
 /// inclusive total).
-const LOOKBACK_CYCLES: u64 = 4;
+pub(crate) const LOOKBACK_CYCLES: u64 = 4;
 
 /// Device-wide reduction with an associative operator.
 ///
@@ -272,17 +272,18 @@ where
     )
 }
 
-/// Shared body of the fused compactions.
+/// Shared body of the fused compactions: one metered pass that
+/// evaluates `get` and `pred` exactly once per item.
 ///
-/// The survivor ranks must exist before the metered launch runs (threads
-/// execute concurrently, and the output buffer is sized by the survivor
-/// count), so the host pre-evaluates `get`/`pred` with a throwaway
-/// context whose counters are discarded — the launch below re-evaluates
-/// both with real billing, exactly once per element, so the modeled cost
-/// is one full-width pass. `get` and `pred` must therefore be
-/// deterministic (true of every compaction predicate in this codebase:
-/// they read device buffers that the pipeline only mutates *between*
-/// compactions).
+/// Each executor task gathers the survivors of its blocks in thread
+/// order, and the tasks concatenate in block order — the order the
+/// decoupled lookback's global ranks produce. A survivor's write is
+/// billed at its slot within its block (the block-local scan's rank),
+/// not at its global rank. The bill is the same either way: the access
+/// tracker is fresh per warp and compares only buffer identity and index
+/// adjacency, and the survivors of one warp take consecutive slots under
+/// both numberings. The output's id is reserved before the launch, so
+/// the bill names the buffer this returns.
 fn compact_by_fused<G, P>(dev: &Device, name: &str, n: usize, get: G, pred: P) -> DeviceBuffer<u32>
 where
     G: Fn(&mut ThreadCtx, usize) -> u32 + Sync,
@@ -292,33 +293,44 @@ where
         dev.launch(name, 0, |_| {});
         return DeviceBuffer::zeroed(0);
     }
-    // Host mirror of the ranks. Counters of the throwaway contexts are
-    // dropped on the floor; the launch below bills the same accesses.
-    let costs = intern_costs(dev.config());
-    let warp_size = dev.config().warp_size;
-    let mut ranks = vec![0u32; n];
-    let mut total = 0u32;
-    for (i, rank) in ranks.iter_mut().enumerate() {
-        let mut scratch = ThreadCtx::new(i, warp_size, costs);
-        let v = get(&mut scratch, i);
-        let keep = pred(&mut scratch, i, v);
-        *rank = total;
-        total += keep as u32;
-    }
-    let out = DeviceBuffer::<u32>::zeroed(total as usize);
+    let block = dev.config().block_size as usize;
+    let out_id = next_id();
     // The one metered kernel: predicate + block-local scan + lookback +
-    // rank-addressed write. Consecutive survivors write consecutive
-    // slots, so the writes coalesce like the unfused scatter's.
-    dev.launch(name, n, |t| {
+    // rank-addressed write.
+    let parts = dev.launch_gather(name, n, |t, survivors: &mut Survivors| {
         let i = t.tid();
         let v = get(t, i);
         let keep = pred(t, i, v);
         t.charge(SHUFFLE_CYCLES + LOOKBACK_CYCLES);
         if keep {
-            t.write(&out, ranks[i] as usize, v);
+            let slot = survivors.push(i / block, v);
+            t.meter_access::<u32>(out_id, slot);
         }
     });
-    out
+    let out: Vec<u32> = parts.into_iter().flat_map(|p| p.items).collect();
+    DeviceBuffer::from_slice_with_id(out_id, &out)
+}
+
+/// One executor task's compaction survivors, in thread order.
+#[derive(Default)]
+struct Survivors {
+    items: Vec<u32>,
+    /// Block of the latest survivor, and where its run starts in `items`.
+    block: usize,
+    block_start: usize,
+}
+
+impl Survivors {
+    /// Appends a survivor of block `block` (blocks arrive in ascending
+    /// order) and returns its slot within that block.
+    fn push(&mut self, block: usize, v: u32) -> usize {
+        if block != self.block {
+            self.block = block;
+            self.block_start = self.items.len();
+        }
+        self.items.push(v);
+        self.items.len() - 1 - self.block_start
+    }
 }
 
 /// Segmented reduction: for each segment `s` defined by
@@ -554,6 +566,30 @@ mod tests {
         let d2 = dev();
         let _ = compact_indices(&d2, "ci", n, |_, i| i % 2 == 0);
         assert!(d.elapsed_cycles() < d2.elapsed_cycles());
+    }
+
+    #[test]
+    fn fused_compaction_evaluates_pred_once_per_item() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Many blocks, so the launch also takes the parallel path.
+        for n in [3usize, 1_000] {
+            let d = dev();
+            let calls = AtomicUsize::new(0);
+            let out = compact_indices_fused(&d, "cf", n, |_, i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                i % 3 == 0
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), n, "pred once per item");
+            assert_eq!(out.to_vec(), (0..n as u32).step_by(3).collect::<Vec<_>>());
+
+            let values = DeviceBuffer::from_slice(&(0..n as u32).rev().collect::<Vec<_>>());
+            let calls = AtomicUsize::new(0);
+            let _ = compact_values_fused(&d, "cvf", &values, |_, v| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                v % 2 == 0
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), n, "pred once per value");
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@ use crate::cost::KernelCost;
 use crate::device::Device;
 use crate::primitives::{
     compact, compact_indices, compact_indices_fused, compact_values, compact_values_fused,
-    exclusive_scan, reduce, segmented_reduce,
+    exclusive_scan, reduce, segmented_reduce, LOOKBACK_CYCLES, SHUFFLE_CYCLES,
 };
 use crate::profiler::{KernelRecord, KernelSummary, Profiler};
+use crate::ProfileReport;
 
 fn dev() -> Device {
     Device::new(DeviceConfig::test_tiny())
@@ -267,6 +268,56 @@ proptest! {
         let d_plain = dev();
         let plain = compact_values(&d_plain, "cv", &vals, |_, v| v % 3 != 0);
         prop_assert_eq!(fused.to_vec(), plain.to_vec());
+    }
+
+    #[test]
+    fn fused_compaction_matches_host_ranked_reference(
+        values in proptest::collection::vec(0u32..1000, 0..1500),
+        tiny in any::<bool>(),
+    ) {
+        // The one-pass fused compaction against the algorithm it
+        // replaced: survivor ranks computed on the host first, then one
+        // plain launch that evaluates the predicate and writes each
+        // survivor at its global rank. Output and bill must agree. The
+        // extents cover partial warps and, on the tiny config (8-thread
+        // blocks), up to ~190 blocks.
+        let cfg = if tiny { DeviceConfig::test_tiny() } else { DeviceConfig::k40c() };
+        let pred = |t: &mut crate::ThreadCtx, v: u32| {
+            t.charge(u64::from(v % 7));
+            !v.is_multiple_of(3)
+        };
+        let fused = {
+            let d = Device::new(cfg);
+            let vals = DeviceBuffer::from_slice(&values);
+            let out = compact_values_fused(&d, "c", &vals, pred);
+            (out.to_vec(), d.profile())
+        };
+        let reference = {
+            let d = Device::new(cfg);
+            let vals = DeviceBuffer::from_slice(&values);
+            let mut ranks = Vec::with_capacity(values.len());
+            let mut total = 0usize;
+            for &v in &values {
+                ranks.push(total);
+                total += usize::from(!v.is_multiple_of(3));
+            }
+            let out = DeviceBuffer::<u32>::zeroed(total);
+            d.launch("c", values.len(), |t| {
+                let i = t.tid();
+                let v = t.read(&vals, i);
+                let keep = pred(t, v);
+                t.charge(SHUFFLE_CYCLES + LOOKBACK_CYCLES);
+                if keep {
+                    t.write(&out, ranks[i], v);
+                }
+            });
+            (out.to_vec(), d.profile())
+        };
+        let bill = |r: &ProfileReport| {
+            (r.launches, r.kernel_bytes, r.thread_executions, r.kernel_atomics, r.clock_cycles)
+        };
+        prop_assert_eq!(&fused.0, &reference.0);
+        prop_assert_eq!(bill(&fused.1), bill(&reference.1));
     }
 
     #[test]

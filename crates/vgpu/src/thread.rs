@@ -240,8 +240,12 @@ impl ThreadCtx {
         SeqRun::new(buf.cells_range(start, end))
     }
 
+    /// Bills one tracked access to element `i` of the buffer with id
+    /// `buf_id`. Exposed to the crate so a kernel can bill a write to a
+    /// buffer that is only built after the launch (the gathering
+    /// compaction reserves its output's id first).
     #[inline]
-    fn meter_access<T: Scalar>(&mut self, buf_id: u64, i: usize) {
+    pub(crate) fn meter_access<T: Scalar>(&mut self, buf_id: u64, i: usize) {
         let seq = self.tracker.observe(buf_id, i);
         self.counters.cycles += self.cfg.mem_issue_cycles;
         self.counters.accesses += 1;

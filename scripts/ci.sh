@@ -33,6 +33,12 @@ fi
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> release tests: the rayon shim's pool and the vgpu executor"
+# The pool hands borrowed closures to persistent threads through
+# atomics; those must hold under release optimizations too, and tier-1
+# runs the dev profile only.
+cargo test --release -q -p rayon -p gc-vgpu
+
 echo "==> observability smoke: repro trace on a small graph"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT

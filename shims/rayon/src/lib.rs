@@ -1,25 +1,29 @@
 //! Offline drop-in replacement for the subset of `rayon` this workspace
 //! uses (see `shims/` in the repository root for why these exist).
 //!
-//! The model is a chunked fork-join over `std::thread::scope`: a pipeline
-//! of lazy adapters (`map`, `filter`, `flat_map_iter`, `filter_map`) over
-//! an indexable source (a range, a slice, or a vector). Terminal
-//! operations split the index space into one contiguous chunk per
-//! available core, run each chunk on its own scoped thread, and combine
-//! chunk results *in chunk order*, so every terminal is deterministic:
-//! `collect` preserves source order exactly, and `reduce` folds in
-//! sequential order (a valid association of the rayon contract).
+//! The model is a chunked fork-join on a persistent pool (see `pool`): a
+//! pipeline of lazy adapters (`map`, `filter`, `flat_map_iter`,
+//! `filter_map`) over an indexable source (a range, a slice, or a
+//! vector). Terminal operations split the index space into one
+//! contiguous chunk per available core, run the chunks on the calling
+//! thread and the pool's idle helper threads, and combine chunk results
+//! *in chunk order*, so every terminal is deterministic: `collect`
+//! preserves source order exactly, and `reduce` folds in sequential
+//! order (a valid association of the rayon contract).
 
 use std::ops::Range;
 
-/// Sources below this many items run inline: spawning threads costs more
-/// than the work they would parallelize.
+mod pool;
+
+use pool::{map_chunks, num_threads};
+
+/// Sources below this many items run inline on the calling thread: a
+/// hand-off to the pool costs more than the work it would parallelize.
 const SPAWN_THRESHOLD: usize = 4;
 
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// Whether a source of `n` items is split across the pool.
+fn splits(n: usize) -> bool {
+    n >= SPAWN_THRESHOLD && num_threads() > 1
 }
 
 /// Number of worker threads terminal operations may use (rayon-compatible
@@ -80,36 +84,19 @@ pub trait ParallelIterator: Sized + Send + Sync {
         FlatMapIter { base: self, f }
     }
 
-    /// Materializes each chunk on its own thread, then concatenates the
-    /// chunks in order.
+    /// Materializes each chunk on the pool, then concatenates the chunks
+    /// in order.
     fn run_chunked(&self) -> Vec<Self::Item> {
-        let n = self.source_len();
-        let threads = num_threads();
-        if n < SPAWN_THRESHOLD || threads <= 1 {
+        let fill = |range: Range<usize>| {
             let mut out = Vec::new();
-            self.fill(0..n, &mut |x| out.push(x));
-            return out;
+            self.fill(range, &mut |x| out.push(x));
+            out
+        };
+        let n = self.source_len();
+        if !splits(n) {
+            return fill(0..n);
         }
-        let chunks = threads.min(n);
-        let per = n.div_ceil(chunks);
-        let mut parts: Vec<Vec<Self::Item>> = Vec::with_capacity(chunks);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..chunks)
-                .map(|c| {
-                    let it = &*self;
-                    let lo = c * per;
-                    let hi = ((c + 1) * per).min(n);
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        it.fill(lo..hi, &mut |x| out.push(x));
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("parallel worker panicked"));
-            }
-        });
+        let parts = map_chunks(n, fill);
         let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
         for p in parts {
             out.extend(p);
@@ -128,42 +115,19 @@ pub trait ParallelIterator: Sized + Send + Sync {
         ID: Fn() -> Self::Item + Send + Sync,
         OP: Fn(Self::Item, Self::Item) -> Self::Item + Send + Sync,
     {
-        let n = self.source_len();
-        let threads = num_threads();
-        if n < SPAWN_THRESHOLD || threads <= 1 {
+        let fold = |range: Range<usize>| {
             let mut slot = Some(identity());
-            self.fill(0..n, &mut |x| {
+            self.fill(range, &mut |x| {
                 let a = slot.take().expect("reduce accumulator");
                 slot = Some(op(a, x));
             });
-            return slot.expect("reduce accumulator");
+            slot.expect("reduce accumulator")
+        };
+        let n = self.source_len();
+        if !splits(n) {
+            return fold(0..n);
         }
-        let chunks = threads.min(n);
-        let per = n.div_ceil(chunks);
-        let mut parts = Vec::with_capacity(chunks);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..chunks)
-                .map(|c| {
-                    let it = &self;
-                    let id = &identity;
-                    let op = &op;
-                    let lo = c * per;
-                    let hi = ((c + 1) * per).min(n);
-                    s.spawn(move || {
-                        let mut slot = Some(id());
-                        it.fill(lo..hi, &mut |x| {
-                            let a = slot.take().expect("reduce accumulator");
-                            slot = Some(op(a, x));
-                        });
-                        slot.expect("reduce accumulator")
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("parallel worker panicked"));
-            }
-        });
-        parts.into_iter().fold(identity(), &op)
+        map_chunks(n, fold).into_iter().fold(identity(), &op)
     }
 
     fn max(self) -> Option<Self::Item>
@@ -486,6 +450,112 @@ mod tests {
             .filter_map(|&x| (x % 2 == 1).then_some(x * 10))
             .collect();
         assert_eq!(odds, vec![10, 30, 50, 70]);
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_results_in_order() {
+        use std::sync::Barrier;
+        let callers = 4;
+        let barrier = Barrier::new(callers);
+        std::thread::scope(|s| {
+            for k in 0..callers {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    for round in 0..50usize {
+                        let n = 1_000 + 17 * k + round;
+                        let v: Vec<usize> =
+                            (0..n).into_par_iter().map(|x| x * callers + k).collect();
+                        assert!(v.iter().enumerate().all(|(i, &x)| x == i * callers + k));
+                        let sum = (0..n).into_par_iter().reduce(|| 0, |a, b| a + b);
+                        assert_eq!(sum, n * (n - 1) / 2);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn chunk_panic_payload_reaches_the_caller_and_the_pool_survives() {
+        let n = 64usize;
+        // Every chunk but the first panics with its own message, so
+        // whichever thread runs it, the payload must name chunk 1's
+        // first item (the lowest panicking chunk).
+        let first_panicking = n.div_ceil(super::current_num_threads().min(n));
+        let caught = std::panic::catch_unwind(|| {
+            (0..n)
+                .into_par_iter()
+                .map(|i| {
+                    if i >= first_panicking && i % first_panicking == 0 {
+                        panic!("chunk starting at {i}");
+                    }
+                    i
+                })
+                .collect::<Vec<_>>()
+        });
+        if super::current_num_threads() > 1 {
+            let payload = caught.expect_err("a chunk panicked");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("panic!(fmt) carries a String");
+            assert_eq!(msg, &format!("chunk starting at {first_panicking}"));
+        }
+        // The pool is still usable afterwards.
+        for _ in 0..20 {
+            let v: Vec<usize> = (0..n).into_par_iter().map(|x| x + 1).collect();
+            assert_eq!(v, (1..=n).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn nested_parallel_call_inside_a_chunk_completes() {
+        let rows: Vec<u64> = (0..16u64)
+            .into_par_iter()
+            .map(|r| {
+                (0..1_000u64)
+                    .into_par_iter()
+                    .map(|x| x * r)
+                    .reduce(|| 0, |a, b| a + b)
+            })
+            .collect();
+        let want: Vec<u64> = (0..16u64).map(|r| r * 999 * 1_000 / 2).collect();
+        assert_eq!(rows, want);
+    }
+
+    #[test]
+    fn helper_threads_stay_bounded() {
+        std::thread::scope(|s| {
+            for _ in 0..6 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        let v: Vec<u32> = (0..256u32).into_par_iter().map(|x| x ^ 1).collect();
+                        assert_eq!(v.len(), 256);
+                    }
+                });
+            }
+        });
+        // Linux only: count the named helpers among this process's
+        // threads. A helper names itself once it starts running, so
+        // wait briefly for the pool to be fully visible.
+        let limit = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
+        let count = || {
+            std::fs::read_dir("/proc/self/task").ok().map(|tasks| {
+                tasks
+                    .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                    .filter(|comm| comm.starts_with("rayon-helper"))
+                    .count()
+            })
+        };
+        let Some(mut helpers) = count() else { return };
+        for _ in 0..200 {
+            assert!(helpers <= limit, "{helpers} helper threads, limit {limit}");
+            if helpers == limit {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            helpers = count().unwrap_or(0);
+        }
+        assert_eq!(helpers, limit, "the pool keeps one helper per extra core");
     }
 
     #[test]
