@@ -74,7 +74,7 @@ impl Csr {
     }
 
     /// Wraps arrays the caller has already proven to be a valid CSR,
-    /// skipping the `O(E log d)` re-validation of [`Csr::try_from_raw`].
+    /// skipping the `O(V + E)` re-validation of [`Csr::try_from_raw`].
     /// The edge-delta splice uses it after checking the rows it rewrote.
     pub(crate) fn from_raw_unchecked(
         n: usize,
@@ -182,14 +182,28 @@ impl Csr {
             }
             self.check_row(v as VertexId)?;
         }
-        // Symmetry.
+        // Symmetry, in one ascending sweep over the rows. Every row is
+        // sorted, so a symmetric row `u` receives its reverse entries
+        // `(v, u)` in its own order: `cursor[u]` must point at `v` when
+        // `(v, u)` is visited. An entry the cursor passes unmatched has
+        // no reverse edge. A sweep that passes consumed one entry per
+        // visit, `nnz` in all, so every cursor ends at its row's end.
+        let mut cursor = self.row_offsets[..self.n].to_vec();
+        let unmatched = |u: usize, w: VertexId| -> String {
+            format!("edge ({u}, {w}) present but ({w}, {u}) missing")
+        };
         for v in 0..self.n as VertexId {
             for &u in self.neighbors(v) {
-                if !self.has_edge(u, v) {
-                    return Err(format!("edge ({v}, {u}) present but ({u}, {v}) missing"));
+                let (u, end) = (u as usize, self.row_offsets[u as usize + 1]);
+                match self.col_indices[cursor[u]..end].first() {
+                    Some(&w) if w == v => cursor[u] += 1,
+                    // Row `w < v` was swept without reaching `(u, w)`.
+                    Some(&w) if w < v => return Err(unmatched(u, w)),
+                    _ => return Err(unmatched(v as usize, u as VertexId)),
                 }
             }
         }
+        debug_assert!((0..self.n).all(|u| cursor[u] == self.row_offsets[u + 1]));
         Ok(())
     }
 

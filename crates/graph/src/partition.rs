@@ -99,10 +99,18 @@ pub struct Partition {
     /// `bounds[i] .. bounds[i + 1]` (length `num_shards() + 1`).
     bounds: Vec<usize>,
     shards: Vec<Shard>,
-    /// When [`PartitionStrategy::BfsGrown`] relabeled the graph:
-    /// `new_of[old]` is the shard-space id of input vertex `old`.
+    /// Set when [`PartitionStrategy::BfsGrown`] relabeled the graph.
     /// `None` means shard-space ids *are* input ids.
-    new_of: Option<Vec<VertexId>>,
+    relabel: Option<Relabel>,
+}
+
+/// The permutation between input ids and shard-space ids, both ways.
+#[derive(Clone, Debug)]
+struct Relabel {
+    /// `new_of[old]` is the shard-space id of input vertex `old`.
+    new_of: Vec<VertexId>,
+    /// `old_of[new]` is the input id of shard-space vertex `new`.
+    old_of: Vec<VertexId>,
 }
 
 impl Partition {
@@ -136,7 +144,7 @@ impl Partition {
             return Partition {
                 bounds,
                 shards,
-                new_of: None,
+                relabel: None,
             };
         }
         let owner = bfs_assign(g, k);
@@ -179,7 +187,7 @@ impl Partition {
         Partition {
             bounds,
             shards,
-            new_of: Some(new_of),
+            relabel: Some(Relabel { new_of, old_of }),
         }
     }
 
@@ -187,16 +195,25 @@ impl Partition {
     /// input vertex order. The identity for strategies that do not
     /// relabel.
     pub fn unpermute<T: Copy>(&self, vals: &[T]) -> Vec<T> {
-        match &self.new_of {
+        match &self.relabel {
             None => vals.to_vec(),
-            Some(new_of) => new_of.iter().map(|&nv| vals[nv as usize]).collect(),
+            Some(r) => r.new_of.iter().map(|&nv| vals[nv as usize]).collect(),
+        }
+    }
+
+    /// Input id of shard-space vertex `v`: the identity for strategies
+    /// that do not relabel.
+    pub fn input_id(&self, v: VertexId) -> VertexId {
+        match &self.relabel {
+            None => v,
+            Some(r) => r.old_of[v as usize],
         }
     }
 
     /// Whether the strategy relabeled the graph (shard-space ids differ
     /// from input ids).
     pub fn is_relabeled(&self) -> bool {
-        self.new_of.is_some()
+        self.relabel.is_some()
     }
 
     pub fn num_shards(&self) -> usize {
@@ -537,6 +554,7 @@ mod tests {
         for (old, &new) in back.iter().enumerate() {
             assert!(!seen[new as usize], "permutation must be a bijection");
             seen[new as usize] = true;
+            assert_eq!(p.input_id(new), old as VertexId, "input_id inverts it");
             let s = p.shard_of(new);
             let shard = &p.shards()[s];
             let local = new - shard.start;

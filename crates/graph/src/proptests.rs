@@ -207,3 +207,86 @@ proptest! {
         }
     }
 }
+
+/// Raw CSR arrays over `n` vertices, built from random directed pairs:
+/// rows as drawn (unsorted, duplicates, self loops), rows cleaned but
+/// usually asymmetric, or rows symmetrized with up to two random
+/// entries then removed (symmetric when none was).
+fn arb_raw_csr() -> impl Strategy<Value = (usize, Vec<usize>, Vec<VertexId>)> {
+    (1usize..24)
+        .prop_flat_map(|n| {
+            let pair = (0..n as VertexId, 0..n as VertexId);
+            let drops = proptest::collection::vec(any::<usize>(), 0..3);
+            (
+                Just(n),
+                proptest::collection::vec(pair, 0..60),
+                0u8..4,
+                drops,
+            )
+        })
+        .prop_map(|(n, pairs, mode, drops)| {
+            let mut rows: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+            for &(u, v) in &pairs {
+                rows[u as usize].push(v);
+                if mode >= 2 {
+                    rows[v as usize].push(u);
+                }
+            }
+            if mode >= 1 {
+                for (u, row) in rows.iter_mut().enumerate() {
+                    row.sort_unstable();
+                    row.dedup();
+                    row.retain(|&w| w as usize != u);
+                }
+            }
+            for d in drops {
+                let row = &mut rows[d % n];
+                if !row.is_empty() {
+                    let len = row.len();
+                    row.remove(d / n % len);
+                }
+            }
+            let mut row_offsets = vec![0usize];
+            let mut cols = Vec::new();
+            for row in rows {
+                cols.extend(row);
+                row_offsets.push(cols.len());
+            }
+            (n, row_offsets, cols)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `validate` accepts exactly the arrays a brute-force check accepts
+    /// (sorted, duplicate-free, in-range, loop-free rows whose directed
+    /// pairs form a symmetric set), and a symmetry error names a pair
+    /// present in one direction and missing in the other.
+    #[test]
+    fn validate_agrees_with_brute_force((n, row_offsets, cols) in arb_raw_csr()) {
+        let row = |v: usize| &cols[row_offsets[v]..row_offsets[v + 1]];
+        let pairs: BTreeSet<(usize, usize)> = (0..n)
+            .flat_map(|v| row(v).iter().map(move |&u| (v, u as usize)))
+            .collect();
+        let rows_ok = (0..n).all(|v| {
+            row(v).windows(2).all(|w| w[0] < w[1])
+                && row(v).iter().all(|&u| (u as usize) < n && u as usize != v)
+        });
+        let symmetric = pairs.iter().all(|&(v, u)| pairs.contains(&(u, v)));
+        let got = Csr::try_from_raw(n, row_offsets.clone(), cols.clone());
+        prop_assert_eq!(got.is_ok(), rows_ok && symmetric);
+        if let Err(e) = got {
+            if e.contains("present but") {
+                let ids: Vec<usize> = e
+                    .split(|c: char| !c.is_ascii_digit())
+                    .filter(|s| !s.is_empty())
+                    .map(|s| s.parse().unwrap())
+                    .collect();
+                let (a, b) = (ids[0], ids[1]);
+                prop_assert!(pairs.contains(&(a, b)), "{}: ({}, {}) absent", e, a, b);
+                prop_assert!(!pairs.contains(&(b, a)), "{}: ({}, {}) present", e, b, a);
+            }
+        }
+    }
+}

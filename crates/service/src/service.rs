@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use gc_core::verify::is_proper;
 use gc_graph::{Csr, Partition, PartitionStrategy};
+use gc_shard::CutPlan;
 
 use crate::cache::{graph_fingerprint, CacheKey, LruCache};
 use crate::policy;
@@ -385,21 +386,23 @@ fn worker_loop(
 /// count and the strategy.
 type PartitionKey = (u64, usize, PartitionStrategy);
 
-/// The last partition a worker built. Sharded requests for one graph
+/// The last partition a worker built, with the conflict loop's
+/// partition-only tables ([`CutPlan`]). Sharded requests for one graph
 /// version differ only in their seed, so they share it. A mutated graph
 /// has a new lineage fingerprint and simply misses; one entry per
 /// worker needs no lock and no capacity knob.
 #[derive(Default)]
-struct PartitionMemo(Option<(PartitionKey, Partition)>);
+struct PartitionMemo(Option<(PartitionKey, CutPlan)>);
 
 impl PartitionMemo {
-    /// The partition of `g` (fingerprinted `graph_fp`) for `cfg`, built
+    /// The cut plan of `g` (fingerprinted `graph_fp`) for `cfg`, built
     /// only when the last one was for another graph or shape.
-    fn get(&mut self, g: &Csr, graph_fp: u64, cfg: &gc_shard::ShardedConfig) -> &Partition {
+    fn get(&mut self, g: &Csr, graph_fp: u64, cfg: &gc_shard::ShardedConfig) -> &CutPlan {
         let key = (graph_fp, cfg.devices, cfg.strategy);
         if !matches!(&self.0, Some((k, _)) if *k == key) {
             let _partition = gc_telemetry::span("partition");
-            self.0 = Some((key, Partition::with_strategy(g, cfg.devices, cfg.strategy)));
+            let partition = Partition::with_strategy(g, cfg.devices, cfg.strategy);
+            self.0 = Some((key, CutPlan::new(partition)));
         }
         &self.0.as_ref().expect("memo was just filled").1
     }
@@ -530,9 +533,8 @@ fn handle_job(
                 verify: false,
                 ..gc_shard::ShardedConfig::new(devices)
             };
-            let partition = partition.get(&req.graph, graph_fp, &cfg);
-            let sharded =
-                gc_shard::run_sharded_with(&colorer, &req.graph, partition, req.seed, &cfg);
+            let plan = partition.get(&req.graph, graph_fp, &cfg);
+            let sharded = gc_shard::run_sharded_with(&colorer, &req.graph, plan, req.seed, &cfg);
             stats.on_sharded(
                 sharded.conflict_rounds,
                 sharded.changed_boundary,

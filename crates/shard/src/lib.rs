@@ -43,12 +43,14 @@
 //!
 //! The resolve phase's device buffers follow the simulator's residency
 //! model: the local CSR and the speculative colors were uploaded (and
-//! billed) by the speculative run and are still resident, so the
-//! conflict kernels reuse them instead of re-buying the H2D transfer a
-//! real implementation would never repeat; partition addressing (send
-//! lists, halo indices) is host-precomputed setup metadata, the same
-//! treatment the two-kernel vgpu compaction gives its host mirror of
-//! the scanned ranks. Every *dynamic* byte — halo traffic,
+//! billed) by the speculative run, so the conflict kernels read them
+//! without re-buying the H2D transfer a real implementation would never
+//! repeat; partition addressing (send lists, halo indices) is
+//! host-precomputed setup metadata, the same treatment the two-kernel
+//! vgpu compaction gives its host mirror of the scanned ranks. The part
+//! of that addressing that depends only on the partition is a
+//! [`CutPlan`], built once per partition; each request adds only what
+//! its conflict frontier needs. Every *dynamic* byte — halo traffic,
 //! per-round deltas, the final boundary download — is fully metered.
 //!
 //! Determinism: the partition is deterministic, per-shard seeds are a
@@ -241,39 +243,40 @@ fn shard_seed(seed: u64, devices: usize, shard: usize) -> u64 {
 /// result. CPU colorers have no device to shard over, so they fall back
 /// to the plain single-device run (reported as `devices = 1`).
 ///
-/// Partitions `g` with `cfg.strategy` and hands the partition to
-/// [`run_sharded_with`]; a caller that colors one graph repeatedly can
-/// partition once and call that instead.
+/// Partitions `g` with `cfg.strategy`, builds its [`CutPlan`] and hands
+/// that to [`run_sharded_with`]; a caller that colors one graph
+/// repeatedly can build the plan once and call that instead.
 pub fn run_sharded(colorer: &Colorer, g: &Csr, seed: u64, cfg: &ShardedConfig) -> ShardedResult {
     if !is_shardable(colorer, g) {
         return run_unsharded(colorer, g, seed, cfg);
     }
-    let partition = {
+    let plan = {
         let _span = gc_telemetry::span("partition");
-        Partition::with_strategy(g, cfg.devices, cfg.strategy)
+        CutPlan::new(Partition::with_strategy(g, cfg.devices, cfg.strategy))
     };
-    run_sharded_with(colorer, g, &partition, seed, cfg)
+    run_sharded_with(colorer, g, &plan, seed, cfg)
 }
 
-/// [`run_sharded`] on a partition the caller already built. The result
-/// is bit-identical to `run_sharded` when `partition` is
-/// `Partition::with_strategy(g, cfg.devices, cfg.strategy)`.
+/// [`run_sharded`] on a plan the caller already built. The result is
+/// bit-identical to `run_sharded` when `plan` is
+/// `CutPlan::new(Partition::with_strategy(g, cfg.devices, cfg.strategy))`.
 ///
 /// # Panics
 ///
-/// Panics if `partition` does not have `cfg.devices` shards. It must
-/// partition `g` itself: a partition of another graph yields a wrong
-/// coloring (which `cfg.verify` reports) or an out-of-range panic.
+/// Panics if the plan's partition does not have `cfg.devices` shards. It
+/// must partition `g` itself: a partition of another graph yields a
+/// wrong coloring (which `cfg.verify` reports) or an out-of-range panic.
 pub fn run_sharded_with(
     colorer: &Colorer,
     g: &Csr,
-    partition: &Partition,
+    plan: &CutPlan,
     seed: u64,
     cfg: &ShardedConfig,
 ) -> ShardedResult {
     if !is_shardable(colorer, g) {
         return run_unsharded(colorer, g, seed, cfg);
     }
+    let partition = plan.partition();
     assert_eq!(
         partition.num_shards(),
         cfg.devices,
@@ -288,48 +291,8 @@ pub fn run_sharded_with(
     span.attr("boundary_vertices", partition.boundary_vertices());
     span.attr("cut_edges", partition.cut_edges());
 
-    // Phase 1 — speculative per-shard coloring, one worker per device.
     let devices: Vec<Device> = (0..cfg.devices).map(|_| Device::k40c()).collect();
-    let tracer = gc_telemetry::current();
-    let mut shard_runs: Vec<ColoringResult> = Vec::with_capacity(cfg.devices);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = partition
-            .shards()
-            .iter()
-            .zip(&devices)
-            .map(|(shard, dev)| {
-                let tracer = tracer.clone();
-                std::thread::Builder::new()
-                    .name(format!("gc-shard-dev-{}", shard.index))
-                    .spawn_scoped(s, move || {
-                        // Each worker re-installs the ambient tracer
-                        // (its own lane, named after the thread) and
-                        // opts into the device-buffer pool.
-                        let _cur = tracer.as_ref().map(|t| t.make_current());
-                        let _pool = gc_vgpu::pool::lease();
-                        if shard.n_owned() == 0 {
-                            ColoringResult::new(Vec::new(), 0, 0.0, 0)
-                        } else {
-                            let sd = shard_seed(seed, cfg.devices, shard.index);
-                            colorer
-                                .run_on_device(dev, &shard.local, sd)
-                                .expect("GPU colorer must support run_on_device")
-                        }
-                    })
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        for h in handles {
-            shard_runs.push(h.join().expect("shard worker panicked"));
-        }
-    });
-
-    // Merge speculative colors by ownership range (shard space).
-    let mut colors = vec![0u32; g.num_vertices()];
-    for (shard, r) in partition.shards().iter().zip(&shard_runs) {
-        let start = shard.start as usize;
-        colors[start..start + shard.n_owned()].copy_from_slice(r.coloring.as_slice());
-    }
+    let (shard_runs, mut colors) = speculate(colorer, partition, &devices, seed);
 
     // Phase 2 — boundary-conflict resolution across the cut.
     let stats = if partition.boundary_vertices() == 0 {
@@ -338,7 +301,7 @@ pub fn run_sharded_with(
             ..ResolveStats::default()
         }
     } else {
-        resolve_conflicts(partition, &devices, &mut colors, cfg)
+        resolve_conflicts(plan, &devices, &mut colors, cfg)
     };
 
     let per_device: Vec<DeviceReport> = partition
@@ -375,10 +338,15 @@ pub fn run_sharded_with(
 
     // Back to input vertex order (the identity unless the strategy
     // relabeled), then finish any tail the loop handed off — the greedy
-    // pass runs on the input graph, so it must see input ids.
+    // pass runs on the input graph, so it must see input ids. It visits
+    // only the loop's surviving frontier, which holds both endpoints of
+    // every monochromatic edge, so it gives what `greedy_repair_host`
+    // over the whole graph gives.
     let mut colors = partition.unpermute(&colors);
     if !stats.clean {
-        repair::greedy_repair_host(g, &mut colors);
+        let mut tail: Vec<VertexId> = stats.tail.iter().map(|&v| partition.input_id(v)).collect();
+        tail.sort_unstable();
+        repair::greedy_repair_at(g, &mut colors, &tail);
     }
 
     let mut result = ColoringResult::new(colors, iterations, model_ms, launches);
@@ -414,6 +382,59 @@ pub fn run_sharded_with(
     }
 }
 
+/// Phase 1 — speculative per-shard coloring, one worker thread per
+/// device. Returns each shard's run and their colors merged by
+/// ownership range (shard space).
+fn speculate(
+    colorer: &Colorer,
+    partition: &Partition,
+    devices: &[Device],
+    seed: u64,
+) -> (Vec<ColoringResult>, Vec<u32>) {
+    let tracer = gc_telemetry::current();
+    let mut shard_runs: Vec<ColoringResult> = Vec::with_capacity(devices.len());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = partition
+            .shards()
+            .iter()
+            .zip(devices)
+            .map(|(shard, dev)| {
+                let tracer = tracer.clone();
+                std::thread::Builder::new()
+                    .name(format!("gc-shard-dev-{}", shard.index))
+                    .spawn_scoped(s, move || {
+                        // Each worker re-installs the ambient tracer
+                        // (its own lane, named after the thread) and
+                        // opts into the device-buffer pool.
+                        let _cur = tracer.as_ref().map(|t| t.make_current());
+                        let _pool = gc_vgpu::pool::lease();
+                        if shard.n_owned() == 0 {
+                            ColoringResult::new(Vec::new(), 0, 0.0, 0)
+                        } else {
+                            let sd = shard_seed(seed, devices.len(), shard.index);
+                            colorer
+                                .run_on_device(dev, &shard.local, sd)
+                                .expect("GPU colorer must support run_on_device")
+                        }
+                    })
+                    .expect("spawn shard worker")
+            })
+            .collect();
+        for h in handles {
+            shard_runs.push(h.join().expect("shard worker panicked"));
+        }
+    });
+
+    // Merge speculative colors by ownership range (shard space).
+    let n: usize = partition.shards().iter().map(|s| s.n_owned()).sum();
+    let mut colors = vec![0u32; n];
+    for (shard, r) in partition.shards().iter().zip(&shard_runs) {
+        let start = shard.start as usize;
+        colors[start..start + shard.n_owned()].copy_from_slice(r.coloring.as_slice());
+    }
+    (shard_runs, colors)
+}
+
 /// `flag` bit: some same-colored neighbor exists (the slot stays in the
 /// conflict frontier).
 const CONFLICT: u32 = 1;
@@ -432,20 +453,21 @@ const HAS_LARGER: u32 = 2;
 /// local vertex in the recolor order.
 const LARGER_BIT: u32 = 1 << 31;
 
-/// Total order used by the conflict rule (who of two same-colored
-/// endpoints recolors). A raw global-id comparison would send every
-/// recolor to the shard owning the largest ids — the hash spreads the
-/// "largest member acts" role evenly across shards, balancing both the
-/// recolor kernels and the delta traffic. Deterministic, and
-/// precomputed host-side into `halo_idx`/`bb_adj` bits, so kernels
-/// never evaluate it.
-fn outranks(a: u64, b: u64) -> bool {
-    fn key(x: u64) -> u64 {
-        let mut z = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^ (z >> 31)
-    }
-    (key(a), a) > (key(b), b)
+/// A slot-map or rank entry with no slot behind it.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Sort key of the total order the conflict rule uses (who of two
+/// same-colored endpoints recolors): vertex `a` outranks `b` when
+/// `rank_key(a) > rank_key(b)`. A raw global-id comparison would send
+/// every recolor to the shard owning the largest ids — the hash spreads
+/// the "largest member acts" role evenly across shards, balancing both
+/// the recolor kernels and the delta traffic. Deterministic, and
+/// precomputed host-side into the [`CutPlan`]'s `LARGER_BIT`s, so
+/// kernels never evaluate it.
+fn rank_key(gid: VertexId) -> (u64, VertexId) {
+    let mut z = (gid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (z ^ (z >> 31), gid)
 }
 
 /// Per-thread cycles the commit kernel bills for its warp scan and
@@ -489,22 +511,22 @@ struct InitialConflicts {
 }
 
 impl InitialConflicts {
-    fn compute(partition: &Partition, colors: &[u32]) -> InitialConflicts {
+    fn compute(plan: &CutPlan, colors: &[u32]) -> InitialConflicts {
         let mut frontier = Vec::new();
         let mut changed = Vec::new();
-        for s in partition.shards() {
+        for s in plan.partition.shards() {
+            let remote = &plan.cut_remote[s.index];
             let mut f = Vec::new();
             let mut c = Vec::new();
             for (b, &v) in s.boundary.iter().enumerate() {
-                let my_gid = (s.start + v) as usize;
-                let my = colors[my_gid];
+                let my = colors[(s.start + v) as usize];
                 if my == 0 {
                     continue;
                 }
                 let mut bits = 0u32;
-                for &gid in &s.cut_neighbors[s.cut_offsets[b]..s.cut_offsets[b + 1]] {
-                    if colors[gid as usize] == my {
-                        bits |= if outranks(gid as u64, my_gid as u64) {
+                for e in s.cut_offsets[b]..s.cut_offsets[b + 1] {
+                    if colors[s.cut_neighbors[e] as usize] == my {
+                        bits |= if remote[e] & LARGER_BIT != 0 {
                             HAS_LARGER
                         } else {
                             HAS_SMALLER
@@ -525,10 +547,110 @@ impl InitialConflicts {
     }
 }
 
-/// Host-side addressing of the halo exchange, precomputed from the
-/// partition and the round-1 conflict frontier (setup metadata, captured
-/// by kernels the way the two-kernel vgpu compaction captures its host
-/// mirror of the scanned ranks).
+/// The conflict loop's tables that depend only on the partition, built
+/// once per partition. A caller that colors one partitioned graph many
+/// times (gc-service keeps one per worker) builds them once, and each
+/// request then pays only for the tables its conflict frontier needs.
+/// The plan owns its partition, so the two cannot drift apart.
+pub struct CutPlan {
+    partition: Partition,
+    /// Per shard, per cut edge (aligned with `cut_neighbors`): the shard
+    /// that owns the remote endpoint.
+    cut_owner: Vec<Vec<u32>>,
+    /// Per shard, per cut edge: the remote endpoint's slot in its
+    /// owner's boundary, packed with `LARGER_BIT` when the remote
+    /// endpoint outranks the local one.
+    cut_remote: Vec<Vec<u32>>,
+    /// Per shard: slot-space CSR of local boundary↔boundary edges, the
+    /// only local edges that can ever conflict during resolution (the
+    /// speculative coloring is proper within the shard and interior
+    /// vertices never recolor). Adjacency entries pack the neighbor's
+    /// local vertex id with its rank bit (`vertex | LARGER_BIT`).
+    bb_off: Vec<Vec<u32>>,
+    bb_adj: Vec<Vec<u32>>,
+}
+
+impl CutPlan {
+    /// Builds the partition-only tables of `partition`'s conflict loop:
+    /// `O(V + E)` host work with one rank-key hash per boundary vertex.
+    pub fn new(partition: Partition) -> CutPlan {
+        let shards = partition.shards();
+        // Per shard: local vertex id → boundary slot, and each slot's
+        // rank key.
+        let slot_of: Vec<Vec<u32>> = shards
+            .iter()
+            .map(|s| {
+                let mut m = vec![NO_SLOT; s.n_owned()];
+                for (b, &v) in s.boundary.iter().enumerate() {
+                    m[v as usize] = b as u32;
+                }
+                m
+            })
+            .collect();
+        let keys: Vec<Vec<(u64, VertexId)>> = shards
+            .iter()
+            .map(|s| s.boundary.iter().map(|&v| rank_key(s.start + v)).collect())
+            .collect();
+        let larger = |outranks: bool| if outranks { LARGER_BIT } else { 0 };
+
+        let k = shards.len();
+        let (mut cut_owner, mut cut_remote) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        let (mut bb_off, mut bb_adj) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        for s in shards {
+            let i = s.index;
+            let mut owner = Vec::with_capacity(s.cut_neighbors.len());
+            let mut remote = Vec::with_capacity(s.cut_neighbors.len());
+            let (row_off, cols) = (s.local.row_offsets(), s.local.col_indices());
+            let mut offs = Vec::with_capacity(s.boundary.len() + 1);
+            offs.push(0u32);
+            let mut adj = Vec::new();
+            for (b, &v) in s.boundary.iter().enumerate() {
+                let me = keys[i][b];
+                for &gid in s.cut_neighbors_of(b) {
+                    let o = partition.shard_of(gid);
+                    let slot = slot_of[o][(gid - shards[o].start) as usize];
+                    assert_ne!(
+                        slot, NO_SLOT,
+                        "cut neighbor must be on its owner's boundary"
+                    );
+                    owner.push(o as u32);
+                    remote.push(slot | larger(keys[o][slot as usize] > me));
+                }
+                let v = v as usize;
+                for &u in &cols[row_off[v]..row_off[v + 1]] {
+                    let slot = slot_of[i][u as usize];
+                    if slot != NO_SLOT {
+                        adj.push(u | larger(keys[i][slot as usize] > me));
+                    }
+                }
+                offs.push(adj.len() as u32);
+            }
+            cut_owner.push(owner);
+            cut_remote.push(remote);
+            bb_off.push(offs);
+            bb_adj.push(adj);
+        }
+
+        CutPlan {
+            partition,
+            cut_owner,
+            cut_remote,
+            bb_off,
+            bb_adj,
+        }
+    }
+
+    /// The partition the tables were built from.
+    pub fn partition(&self) -> &Partition {
+        &self.partition
+    }
+}
+
+/// Host-side addressing of the halo exchange, built per request from the
+/// [`CutPlan`] and the round-1 conflict frontier (setup metadata,
+/// captured by kernels the way the two-kernel vgpu compaction captures
+/// its host mirror of the scanned ranks). Every lookup is a table index:
+/// no search over a boundary or a send list.
 ///
 /// For every ordered peer pair `(exporter i, importer j)` the exporter
 /// keeps a **send list** — the sorted slots of `i`'s boundary that the
@@ -539,8 +661,8 @@ impl InitialConflicts {
 /// changers, which are already in it), so colors of slots no frontier
 /// edge touches are never examined; they never travel and never occupy
 /// memory. A cut edge addresses its remote endpoint with one
-/// precomputed halo position, packed with the gid-comparison bit the
-/// conflict rule needs.
+/// precomputed halo position, packed with the rank bit the conflict
+/// rule needs.
 struct CutAddressing {
     /// Sorted peer shard ids per shard (symmetric: `i` lists `j` iff
     /// `j` lists `i`).
@@ -548,6 +670,10 @@ struct CutAddressing {
     /// `sl[i][j]`: sorted boundary slots of exporter `i` referenced by
     /// importer `j` (empty unless `j ∈ peers[i]`).
     sl: Vec<Vec<Vec<u32>>>,
+    /// `rank[i][j][slot]`: the position of `slot` in `sl[i][j]`, or
+    /// `NO_SLOT` when `j` does not reference it. Empty when `j`
+    /// references no slot of `i`.
+    rank: Vec<Vec<Vec<u32>>>,
     /// Per importer, per peer (aligned with `peers`): segment offset in
     /// the importer's halo replica.
     seg_off: Vec<Vec<u32>>,
@@ -557,96 +683,74 @@ struct CutAddressing {
     /// (`pos | LARGER_BIT`; only edges of frontier slots are ever read,
     /// the rest stay zero).
     halo_idx: Vec<Vec<u32>>,
-    /// Per exporter, per boundary slot: bitmask over `peers[i]`
-    /// positions that reference the slot (all-ones when a shard
-    /// somehow has more than 64 peers — ship everywhere, still
-    /// correct).
-    ref_mask: Vec<Vec<u64>>,
-    /// Per shard: slot-space CSR of local boundary↔boundary edges, the
-    /// only local edges that can ever conflict during resolution (the
-    /// speculative coloring is proper within the shard and interior
-    /// vertices never recolor). Adjacency entries pack the neighbor's
-    /// local vertex id with its gid-comparison bit
-    /// (`vertex | LARGER_BIT`).
-    bb_off: Vec<Vec<u32>>,
-    bb_adj: Vec<Vec<u32>>,
 }
 
 impl CutAddressing {
-    fn build(partition: &Partition, frontier: &[Vec<u32>]) -> CutAddressing {
-        let shards = partition.shards();
+    fn build(plan: &CutPlan, frontier: &[Vec<u32>]) -> CutAddressing {
+        let shards = plan.partition.shards();
         let k = shards.len();
 
-        // Pass 1: which exporter slots do each importer's frontier
-        // edges reference?
-        let mut referenced: Vec<Vec<std::collections::BTreeSet<u32>>> =
-            vec![(0..k).map(|_| Default::default()).collect(); k];
+        // Pass 1: mark, per (exporter, importer) pair, the exporter
+        // slots that the importer's frontier edges reference.
+        let mut rank: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); k]; k];
         for s in shards {
+            let (owner, remote) = (&plan.cut_owner[s.index], &plan.cut_remote[s.index]);
             for &b in &frontier[s.index] {
                 let b = b as usize;
-                for &gid in &s.cut_neighbors[s.cut_offsets[b]..s.cut_offsets[b + 1]] {
-                    let o = partition.shard_of(gid);
-                    let local = gid - shards[o].start;
-                    let slot = shards[o]
-                        .boundary
-                        .binary_search(&local)
-                        .expect("cut neighbor must be on its owner's boundary");
-                    referenced[o][s.index].insert(slot as u32);
+                for e in s.cut_offsets[b]..s.cut_offsets[b + 1] {
+                    let o = owner[e] as usize;
+                    let marks = &mut rank[o][s.index];
+                    if marks.is_empty() {
+                        *marks = vec![NO_SLOT; shards[o].boundary.len()];
+                    }
+                    marks[(remote[e] & !LARGER_BIT) as usize] = 0;
                 }
             }
         }
 
-        let mut peers = Vec::with_capacity(k);
+        // A mark vector walked in ascending slot order yields the send
+        // list, and the running count is each marked slot's rank.
         let mut sl: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); k]; k];
-        let mut ref_mask = Vec::with_capacity(k);
-        for i in 0..k {
-            let ps: Vec<usize> = (0..k)
-                .filter(|&j| !referenced[i][j].is_empty() || !referenced[j][i].is_empty())
-                .collect();
-            let mut mask = vec![0u64; shards[i].boundary.len()];
-            for (p, &j) in ps.iter().enumerate() {
-                let list: Vec<u32> = referenced[i][j].iter().copied().collect();
-                for &s in &list {
-                    mask[s as usize] |= if p < 64 { 1 << p } else { u64::MAX };
+        for (ranks, lists) in rank.iter_mut().zip(&mut sl) {
+            for (marks, list) in ranks.iter_mut().zip(lists) {
+                for (slot, r) in marks.iter_mut().enumerate() {
+                    if *r != NO_SLOT {
+                        *r = list.len() as u32;
+                        list.push(slot as u32);
+                    }
                 }
-                sl[i][j] = list;
             }
-            peers.push(ps);
-            ref_mask.push(mask);
         }
+        let peers: Vec<Vec<usize>> = (0..k)
+            .map(|i| {
+                (0..k)
+                    .filter(|&j| !sl[i][j].is_empty() || !sl[j][i].is_empty())
+                    .collect()
+            })
+            .collect();
 
         // Pass 2: importer-side halo layout and per-edge positions.
         let mut seg_off = Vec::with_capacity(k);
         let mut halo_len = Vec::with_capacity(k);
         let mut halo_idx = Vec::with_capacity(k);
+        let mut seg_of = vec![0u32; k];
         for j in 0..k {
             let mut offs = Vec::with_capacity(peers[j].len());
             let mut len = 0u32;
             for &o in &peers[j] {
                 offs.push(len);
+                seg_of[o] = len;
                 len += sl[o][j].len() as u32;
             }
             let s = &shards[j];
+            let (owner, remote) = (&plan.cut_owner[j], &plan.cut_remote[j]);
             let mut idx = vec![0u32; s.cut_neighbors.len()];
             for &b in &frontier[j] {
                 let b = b as usize;
-                let my_gid = s.start + s.boundary[b];
-                let range = s.cut_offsets[b]..s.cut_offsets[b + 1];
-                for (&gid, out) in s.cut_neighbors[range.clone()]
-                    .iter()
-                    .zip(idx[range].iter_mut())
-                {
-                    let o = partition.shard_of(gid);
-                    let local = gid - shards[o].start;
-                    let slot = shards[o].boundary.binary_search(&local).unwrap() as u32;
-                    let p = peers[j].iter().position(|&x| x == o).unwrap();
-                    let pos = offs[p] + sl[o][j].binary_search(&slot).unwrap() as u32;
-                    *out = pos
-                        | if outranks(gid as u64, my_gid as u64) {
-                            LARGER_BIT
-                        } else {
-                            0
-                        };
+                for e in s.cut_offsets[b]..s.cut_offsets[b + 1] {
+                    let o = owner[e] as usize;
+                    let slot = (remote[e] & !LARGER_BIT) as usize;
+                    idx[e] = (seg_of[o] + rank[o][j][slot]) | (remote[e] & LARGER_BIT);
                 }
             }
             seg_off.push(offs);
@@ -654,64 +758,44 @@ impl CutAddressing {
             halo_idx.push(idx);
         }
 
-        // Pass 3: local boundary↔boundary adjacency in slot space.
-        let mut bb_off = Vec::with_capacity(k);
-        let mut bb_adj = Vec::with_capacity(k);
-        for s in shards {
-            let row_off = s.local.row_offsets();
-            let cols = s.local.col_indices();
-            let mut offs = Vec::with_capacity(s.boundary.len() + 1);
-            let mut adj = Vec::new();
-            offs.push(0u32);
-            for &v in &s.boundary {
-                let v_gid = (s.start + v) as u64;
-                let v = v as usize;
-                for &u in &cols[row_off[v]..row_off[v + 1]] {
-                    if s.boundary.binary_search(&u).is_ok() {
-                        let u_gid = (s.start + u) as u64;
-                        adj.push(
-                            u | if outranks(u_gid, v_gid) {
-                                LARGER_BIT
-                            } else {
-                                0
-                            },
-                        );
-                    }
-                }
-                offs.push(adj.len() as u32);
-            }
-            bb_off.push(offs);
-            bb_adj.push(adj);
-        }
-
         CutAddressing {
             peers,
             sl,
+            rank,
             seg_off,
             halo_len,
             halo_idx,
-            ref_mask,
-            bb_off,
-            bb_adj,
         }
+    }
+
+    /// The position of exporter `i`'s `slot` in its send list to
+    /// importer `j`, if `j` references the slot.
+    fn rank_of(&self, i: usize, j: usize, slot: u32) -> Option<u32> {
+        self.rank[i][j]
+            .get(slot as usize)
+            .copied()
+            .filter(|&r| r != NO_SLOT)
     }
 }
 
-/// Per-device state of the conflict loop. The graph-shaped buffers
-/// (`colors`, `row_off`, `cols`) adopt the allocations the speculative
-/// run left resident; the slot-shaped buffers are fresh device
-/// allocations whose *contents* only ever move via metered kernels and
-/// transfers.
+/// Per-device state of the conflict loop. Every buffer is a fresh
+/// allocation filled by an unmetered host copy on each request. The
+/// graph-shaped ones (`colors`, `row_off`, `cols`) hold data the
+/// speculative run already had on the device (its uploaded shard and
+/// its own output), so the model bills no second upload for them; the
+/// addressing tables are host-built setup metadata; and the contents of
+/// the slot-shaped working buffers only ever move via metered kernels
+/// and transfers.
 struct DevState<'a> {
     i: usize,
     dev: &'a Device,
     start: VertexId,
     /// Boundary slot count.
     b: usize,
-    /// Owned-vertex colors (resident from the speculative run — the
-    /// merge step's per-shard slice is exactly the shard's own output).
+    /// Owned-vertex colors: the merge step's per-shard slice, which is
+    /// exactly the shard's own speculative output.
     colors: DeviceBuffer<u32>,
-    /// Local CSR, resident from the speculative run.
+    /// The shard's local CSR, as the speculative run uploaded it.
     row_off: DeviceBuffer<u32>,
     cols: DeviceBuffer<u32>,
     /// Slot → local vertex id.
@@ -784,6 +868,10 @@ struct ResolveStats {
     halo_bytes_delta: u64,
     changed_boundary: u64,
     clean: bool,
+    /// When the loop handed off (`!clean`): the surviving frontier, as
+    /// shard-space vertex ids. It holds both endpoints of every edge
+    /// the loop left monochromatic.
+    tail: Vec<VertexId>,
 }
 
 impl DevState<'_> {
@@ -821,14 +909,14 @@ impl DevState<'_> {
 /// that both changed in the same round — both carry `CONFLICT` and stay
 /// in the frontier — so the frontier never misses a live conflict.
 fn resolve_conflicts(
-    partition: &Partition,
+    plan: &CutPlan,
     devices: &[Device],
     colors: &mut [u32],
     cfg: &ShardedConfig,
 ) -> ResolveStats {
-    let shards = partition.shards();
-    let init = InitialConflicts::compute(partition, colors);
-    let addr = CutAddressing::build(partition, &init.frontier);
+    let shards = plan.partition.shards();
+    let init = InitialConflicts::compute(plan, colors);
+    let addr = CutAddressing::build(plan, &init.frontier);
 
     let mut states: Vec<Option<DevState>> = shards
         .iter()
@@ -852,8 +940,8 @@ fn resolve_conflicts(
                 boundary: DeviceBuffer::from_slice(&s.boundary),
                 cut_off: DeviceBuffer::from_slice(&cut_off),
                 halo_idx: DeviceBuffer::from_slice(&addr.halo_idx[i]),
-                bb_off: DeviceBuffer::from_slice(&addr.bb_off[i]),
-                bb_adj: DeviceBuffer::from_slice(&addr.bb_adj[i]),
+                bb_off: DeviceBuffer::from_slice(&plan.bb_off[i]),
+                bb_adj: DeviceBuffer::from_slice(&plan.bb_adj[i]),
                 halo: DeviceBuffer::zeroed(addr.halo_len[i]),
                 partial: DeviceBuffer::zeroed(s.boundary.len()),
                 flag: DeviceBuffer::zeroed(s.boundary.len()),
@@ -931,17 +1019,13 @@ fn resolve_conflicts(
             // the importer can scatter without any translation.
             let filtered: Vec<Vec<(u32, u32)>> = addr.peers[i]
                 .iter()
-                .enumerate()
-                .map(|(p, &j)| {
+                .map(|&j| {
                     if round == 1 || !live[j] {
                         return Vec::new();
                     }
                     st.changed_slots
                         .iter()
-                        .filter(|&&s| addr.ref_mask[i][s as usize] & (1u64 << p.min(63)) != 0)
-                        .filter_map(|&s| {
-                            addr.sl[i][j].binary_search(&s).ok().map(|r| (s, r as u32))
-                        })
+                        .filter_map(|&s| addr.rank_of(i, j, s).map(|r| (s, r)))
                         .collect()
                 })
                 .collect();
@@ -1282,6 +1366,18 @@ fn resolve_conflicts(
         }
     }
     stats.halo_bytes = stats.rounds as u64 * per_round_full;
+    if !stats.clean {
+        stats.tail = states
+            .iter()
+            .flatten()
+            .flat_map(|st| {
+                let boundary = &shards[st.i].boundary;
+                st.front_host
+                    .iter()
+                    .map(move |&b| st.start + boundary[b as usize])
+            })
+            .collect();
+    }
 
     // Merge resolved colors back: one metered device→host download per
     // shard (interior colors are unchanged but ride along — the whole

@@ -18,9 +18,10 @@
 //!   (The cross-device resolver has no loser exchange: every
 //!   top-ranked endpoint recolors at once, and changers that collide
 //!   stay in its frontier.)
-//! * [`greedy_repair_host`] — the deterministic host-side pass shared
-//!   by this loop, after its round cap, and the multi-device resolver
-//!   in [`crate::run_sharded`], after its tail cutoff or round cap.
+//! * [`greedy_repair_host`] — the deterministic host-side pass that
+//!   finishes this loop after its round cap. The multi-device resolver
+//!   in [`crate::run_sharded`] runs the same sweep after its tail cutoff
+//!   or round cap, visiting only its surviving frontier.
 //!
 //! Every recolor takes the smallest free color of its neighborhood,
 //! [`gc_core::reduce::mex`]: recoloring a vertex to the mex of its
@@ -69,10 +70,30 @@ pub struct RepairOutcome {
 /// Deterministic host-side repair: one ascending sweep recoloring any
 /// vertex that clashes with a smaller-id neighbor. Vertices processed
 /// earlier never change afterwards, so the sweep leaves the coloring
-/// proper. Finishes both the multi-device resolver (after its tail
-/// cutoff or round cap) and [`repair_frontier`] (after its round cap).
+/// proper. Finishes [`repair_frontier`] after its round cap; the
+/// multi-device resolver runs the same sweep over its surviving
+/// frontier only.
 pub fn greedy_repair_host(g: &Csr, colors: &mut [u32]) {
-    for v in 0..g.num_vertices() as VertexId {
+    greedy_sweep(g, colors, 0..g.num_vertices() as VertexId);
+}
+
+/// [`greedy_repair_host`] visiting only `candidates`, which must be
+/// strictly ascending. The result is the full sweep's whenever
+/// `candidates` holds both endpoints of every monochromatic edge: any
+/// other vertex has no same-colored neighbor, and gains none before its
+/// turn, because every earlier recolor takes the mex of its whole
+/// neighborhood and so avoids that vertex's color. The full sweep
+/// therefore changes only candidates, and sees the same colors at each
+/// of them.
+pub(crate) fn greedy_repair_at(g: &Csr, colors: &mut [u32], candidates: &[VertexId]) {
+    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
+    greedy_sweep(g, colors, candidates.iter().copied());
+}
+
+/// The body of both sweeps: visits `order` (ascending) and recolors each
+/// vertex that shares its color with a smaller-id neighbor.
+fn greedy_sweep(g: &Csr, colors: &mut [u32], order: impl IntoIterator<Item = VertexId>) {
+    for v in order {
         let clash = g
             .neighbors(v)
             .iter()

@@ -1,16 +1,24 @@
 //! Sharded-coloring tests: validity on arbitrary graphs for N in
-//! {1, 2, 4}, bit-identity at N = 1, color-count discipline, and the
-//! telemetry/metering wiring.
+//! {1, 2, 4}, bit-identity at N = 1, color-count discipline, the
+//! telemetry/metering wiring, the cut tables against their reference
+//! build, and the tail sweep against the full one.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use gc_core::runner::{all_colorers, colorer_by_name, Colorer};
 use gc_core::verify::is_proper;
-use gc_graph::{generators, Csr, GraphBuilder, Partition};
+use gc_graph::{generators, Csr, GraphBuilder, Partition, VertexId};
+use gc_vgpu::Device;
 
 use gc_graph::PartitionStrategy;
 
-use crate::{run_sharded, run_sharded_with, ShardedConfig, MAX_CONFLICT_ROUNDS};
+use crate::repair::{greedy_repair_at, greedy_repair_host};
+use crate::{
+    resolve_conflicts, run_sharded, run_sharded_with, speculate, CutAddressing, CutPlan,
+    InitialConflicts, ShardedConfig, HAS_LARGER, HAS_SMALLER, LARGER_BIT, MAX_CONFLICT_ROUNDS,
+};
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
     (1usize..40).prop_flat_map(|n| {
@@ -236,9 +244,9 @@ fn merged_profile_counts_every_device_kernel() {
     }
 }
 
-/// A partition built once and handed to `run_sharded_with` gives the
-/// run `run_sharded` gives, for every strategy and several seeds on the
-/// same partition.
+/// A plan built once and handed to `run_sharded_with` gives the run
+/// `run_sharded` gives, for every strategy and several seeds on the
+/// same plan.
 #[test]
 fn run_sharded_with_a_prebuilt_partition_is_bit_identical() {
     let g = generators::grid2d(40, 40, generators::Stencil2d::NinePoint);
@@ -249,10 +257,10 @@ fn run_sharded_with_a_prebuilt_partition_is_bit_identical() {
                 strategy,
                 ..ShardedConfig::new(devices)
             };
-            let partition = Partition::with_strategy(&g, devices, strategy);
+            let plan = CutPlan::new(Partition::with_strategy(&g, devices, strategy));
             for seed in [1u64, 2, 3] {
                 let direct = run_sharded(&c, &g, seed, &cfg);
-                let reused = run_sharded_with(&c, &g, &partition, seed, &cfg);
+                let reused = run_sharded_with(&c, &g, &plan, seed, &cfg);
                 let what = format!("{strategy:?} devices={devices} seed={seed}");
                 assert_eq!(reused.result.coloring, direct.result.coloring, "{what}");
                 assert_eq!(reused.conflict_rounds, direct.conflict_rounds, "{what}");
@@ -318,6 +326,365 @@ fn conflict_rounds_are_bounded_on_adversarial_graphs() {
             let sharded = run_sharded(&c, &g, 2, &ShardedConfig::new(n));
             assert!(is_proper(&g, sharded.result.coloring.as_slice()).is_ok());
             assert!(sharded.conflict_rounds <= MAX_CONFLICT_ROUNDS);
+        }
+    }
+}
+
+/// SplitMix64 step, for the seeded cases below.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A small G3_circuit stand-in: local wiring plus long nets, so most of
+/// its vertices sit on a cut under any split.
+fn small_circuit() -> Csr {
+    gc_datasets::dataset_by_name("G3_circuit")
+        .expect("G3_circuit is registered")
+        .generate(0.002, 42)
+}
+
+/// The recolor order as the cut tables were first built: both ids
+/// hashed on every call.
+fn ref_outranks(a: u64, b: u64) -> bool {
+    fn key(x: u64) -> u64 {
+        let mut z = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^ (z >> 31)
+    }
+    (key(a), a) > (key(b), b)
+}
+
+/// `InitialConflicts::compute` as first written: `(frontier, changed)`.
+fn ref_initial_conflicts(partition: &Partition, colors: &[u32]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    let mut frontier = Vec::new();
+    let mut changed = Vec::new();
+    for s in partition.shards() {
+        let mut f = Vec::new();
+        let mut c = Vec::new();
+        for (b, &v) in s.boundary.iter().enumerate() {
+            let my_gid = (s.start + v) as usize;
+            let my = colors[my_gid];
+            if my == 0 {
+                continue;
+            }
+            let mut bits = 0u32;
+            for &gid in &s.cut_neighbors[s.cut_offsets[b]..s.cut_offsets[b + 1]] {
+                if colors[gid as usize] == my {
+                    bits |= if ref_outranks(gid as u64, my_gid as u64) {
+                        HAS_LARGER
+                    } else {
+                        HAS_SMALLER
+                    };
+                }
+            }
+            if bits != 0 {
+                f.push(b as u32);
+            }
+            if bits & HAS_SMALLER != 0 && bits & HAS_LARGER == 0 {
+                c.push(b as u32);
+            }
+        }
+        frontier.push(f);
+        changed.push(c);
+    }
+    (frontier, changed)
+}
+
+/// The cut tables as first built, per request: `BTreeSet` send lists,
+/// binary searches over boundaries and send lists, per-call
+/// `outranks`, and per-peer reference masks in place of ranks.
+struct RefAddressing {
+    peers: Vec<Vec<usize>>,
+    sl: Vec<Vec<Vec<u32>>>,
+    seg_off: Vec<Vec<u32>>,
+    halo_len: Vec<usize>,
+    halo_idx: Vec<Vec<u32>>,
+    ref_mask: Vec<Vec<u64>>,
+    bb_off: Vec<Vec<u32>>,
+    bb_adj: Vec<Vec<u32>>,
+}
+
+fn ref_addressing(partition: &Partition, frontier: &[Vec<u32>]) -> RefAddressing {
+    let shards = partition.shards();
+    let k = shards.len();
+
+    let mut referenced: Vec<Vec<BTreeSet<u32>>> =
+        vec![(0..k).map(|_| Default::default()).collect(); k];
+    for s in shards {
+        for &b in &frontier[s.index] {
+            let b = b as usize;
+            for &gid in &s.cut_neighbors[s.cut_offsets[b]..s.cut_offsets[b + 1]] {
+                let o = partition.shard_of(gid);
+                let local = gid - shards[o].start;
+                let slot = shards[o]
+                    .boundary
+                    .binary_search(&local)
+                    .expect("cut neighbor must be on its owner's boundary");
+                referenced[o][s.index].insert(slot as u32);
+            }
+        }
+    }
+
+    let mut peers = Vec::with_capacity(k);
+    let mut sl: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); k]; k];
+    let mut ref_mask = Vec::with_capacity(k);
+    for i in 0..k {
+        let ps: Vec<usize> = (0..k)
+            .filter(|&j| !referenced[i][j].is_empty() || !referenced[j][i].is_empty())
+            .collect();
+        let mut mask = vec![0u64; shards[i].boundary.len()];
+        for (p, &j) in ps.iter().enumerate() {
+            let list: Vec<u32> = referenced[i][j].iter().copied().collect();
+            for &s in &list {
+                mask[s as usize] |= if p < 64 { 1 << p } else { u64::MAX };
+            }
+            sl[i][j] = list;
+        }
+        peers.push(ps);
+        ref_mask.push(mask);
+    }
+
+    let mut seg_off = Vec::with_capacity(k);
+    let mut halo_len = Vec::with_capacity(k);
+    let mut halo_idx = Vec::with_capacity(k);
+    for j in 0..k {
+        let mut offs = Vec::with_capacity(peers[j].len());
+        let mut len = 0u32;
+        for &o in &peers[j] {
+            offs.push(len);
+            len += sl[o][j].len() as u32;
+        }
+        let s = &shards[j];
+        let mut idx = vec![0u32; s.cut_neighbors.len()];
+        for &b in &frontier[j] {
+            let b = b as usize;
+            let my_gid = s.start + s.boundary[b];
+            let range = s.cut_offsets[b]..s.cut_offsets[b + 1];
+            for (&gid, out) in s.cut_neighbors[range.clone()]
+                .iter()
+                .zip(idx[range].iter_mut())
+            {
+                let o = partition.shard_of(gid);
+                let local = gid - shards[o].start;
+                let slot = shards[o].boundary.binary_search(&local).unwrap() as u32;
+                let p = peers[j].iter().position(|&x| x == o).unwrap();
+                let pos = offs[p] + sl[o][j].binary_search(&slot).unwrap() as u32;
+                *out = pos
+                    | if ref_outranks(gid as u64, my_gid as u64) {
+                        LARGER_BIT
+                    } else {
+                        0
+                    };
+            }
+        }
+        seg_off.push(offs);
+        halo_len.push(len as usize);
+        halo_idx.push(idx);
+    }
+
+    let mut bb_off = Vec::with_capacity(k);
+    let mut bb_adj = Vec::with_capacity(k);
+    for s in shards {
+        let row_off = s.local.row_offsets();
+        let cols = s.local.col_indices();
+        let mut offs = Vec::with_capacity(s.boundary.len() + 1);
+        let mut adj = Vec::new();
+        offs.push(0u32);
+        for &v in &s.boundary {
+            let v_gid = (s.start + v) as u64;
+            let v = v as usize;
+            for &u in &cols[row_off[v]..row_off[v + 1]] {
+                if s.boundary.binary_search(&u).is_ok() {
+                    let u_gid = (s.start + u) as u64;
+                    adj.push(
+                        u | if ref_outranks(u_gid, v_gid) {
+                            LARGER_BIT
+                        } else {
+                            0
+                        },
+                    );
+                }
+            }
+            offs.push(adj.len() as u32);
+        }
+        bb_off.push(offs);
+        bb_adj.push(adj);
+    }
+
+    RefAddressing {
+        peers,
+        sl,
+        seg_off,
+        halo_len,
+        halo_idx,
+        ref_mask,
+        bb_off,
+        bb_adj,
+    }
+}
+
+/// Builds the cut tables of `g` split `k` ways by `strategy` — the
+/// [`CutPlan`] plus a request's [`CutAddressing`] — and requires every
+/// table the conflict loop reads to equal the reference build: the
+/// round-1 frontier and changed sets of a random coloring, and the
+/// addressing for that frontier, for random subsets of each boundary
+/// and for whole boundaries.
+fn check_cut_tables(g: &Csr, k: usize, strategy: PartitionStrategy, seed: u64) {
+    let plan = CutPlan::new(Partition::with_strategy(g, k, strategy));
+    let partition = plan.partition();
+    let shards = partition.shards();
+    let what = format!("k={k} {strategy:?} seed={seed}");
+    let mut rng = seed;
+
+    // A small palette, 0 (uncolored) included, makes many cut edges
+    // monochromatic.
+    let colors: Vec<u32> = (0..g.num_vertices())
+        .map(|_| (next(&mut rng) % 4) as u32)
+        .collect();
+    let init = InitialConflicts::compute(&plan, &colors);
+    let (frontier, changed) = ref_initial_conflicts(partition, &colors);
+    assert_eq!(init.frontier, frontier, "{what}: round-1 frontier");
+    assert_eq!(init.changed, changed, "{what}: round-1 changed set");
+
+    let random: Vec<Vec<u32>> = shards
+        .iter()
+        .map(|s| {
+            (0..s.boundary.len() as u32)
+                .filter(|_| !next(&mut rng).is_multiple_of(3))
+                .collect()
+        })
+        .collect();
+    let whole: Vec<Vec<u32>> = shards
+        .iter()
+        .map(|s| (0..s.boundary.len() as u32).collect())
+        .collect();
+    for (name, frontier) in [
+        ("round 1", &init.frontier),
+        ("random", &random),
+        ("whole", &whole),
+    ] {
+        let what = format!("{what} {name} frontier");
+        let addr = CutAddressing::build(&plan, frontier);
+        let want = ref_addressing(partition, frontier);
+        assert_eq!(addr.peers, want.peers, "{what}: peers");
+        assert_eq!(addr.sl, want.sl, "{what}: send lists");
+        assert_eq!(addr.seg_off, want.seg_off, "{what}: segment offsets");
+        assert_eq!(addr.halo_len, want.halo_len, "{what}: halo lengths");
+        assert_eq!(addr.halo_idx, want.halo_idx, "{what}: halo positions");
+        assert_eq!(plan.bb_off, want.bb_off, "{what}: bb offsets");
+        assert_eq!(plan.bb_adj, want.bb_adj, "{what}: bb adjacency");
+        for (i, s) in shards.iter().enumerate() {
+            // The ranks answer what the reference masks answered (which
+            // peers reference a slot), and each is the slot's position
+            // in its send list.
+            let mask: Vec<u64> = (0..s.boundary.len() as u32)
+                .map(|slot| {
+                    addr.peers[i]
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &j)| addr.rank_of(i, j, slot).is_some())
+                        .fold(0, |m, (p, _)| m | if p < 64 { 1 << p } else { u64::MAX })
+                })
+                .collect();
+            assert_eq!(mask, want.ref_mask[i], "{what}: reference masks of {i}");
+            for j in 0..k {
+                for (r, &slot) in want.sl[i][j].iter().enumerate() {
+                    assert_eq!(addr.rank_of(i, j, slot), Some(r as u32), "{what}: rank");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cut_tables_match_the_reference_build(g in arb_graph(), seed in any::<u64>()) {
+        for k in [2usize, 3, 4, 8] {
+            for strategy in [PartitionStrategy::Contiguous, PartitionStrategy::BfsGrown] {
+                check_cut_tables(&g, k, strategy, seed);
+            }
+        }
+    }
+
+    // The sweep over a candidate set holding both endpoints of every
+    // monochromatic edge (plus random extras) is the full sweep, on
+    // random colorings from a small palette.
+    #[test]
+    fn tail_sweep_matches_the_full_sweep(g in arb_graph(), seed in any::<u64>()) {
+        let mut rng = seed;
+        let colors: Vec<u32> = (0..g.num_vertices())
+            .map(|_| (next(&mut rng) % 4) as u32)
+            .collect();
+        let mut candidates: BTreeSet<VertexId> = g
+            .edges()
+            .filter(|&(u, v)| colors[u as usize] == colors[v as usize])
+            .flat_map(|(u, v)| [u, v])
+            .collect();
+        candidates.extend(g.vertices().filter(|_| next(&mut rng).is_multiple_of(4)));
+        let candidates: Vec<VertexId> = candidates.into_iter().collect();
+        let mut full = colors.clone();
+        greedy_repair_host(&g, &mut full);
+        let mut tail = colors;
+        greedy_repair_at(&g, &mut tail, &candidates);
+        prop_assert_eq!(tail, full);
+    }
+}
+
+#[test]
+fn cut_tables_match_the_reference_build_on_a_high_cut_circuit() {
+    let g = small_circuit();
+    for k in [2usize, 3, 4, 8] {
+        for strategy in [PartitionStrategy::Contiguous, PartitionStrategy::BfsGrown] {
+            for seed in [1u64, 2] {
+                check_cut_tables(&g, k, strategy, seed);
+            }
+        }
+    }
+}
+
+/// On a graph whose conflict loop hands off a tail at 2, 4 and 8
+/// devices, the merged coloring is what the greedy sweep over the whole
+/// graph makes of the loop's output.
+#[test]
+fn sharded_tail_sweep_matches_the_full_sweep() {
+    let g = small_circuit();
+    let c = colorer_by_name("Gunrock/Color_IS").unwrap();
+    for devices in [2usize, 4, 8] {
+        for strategy in [PartitionStrategy::Contiguous, PartitionStrategy::BfsGrown] {
+            let cfg = ShardedConfig {
+                strategy,
+                ..ShardedConfig::new(devices)
+            };
+            let seed = 7;
+            let plan = CutPlan::new(Partition::with_strategy(&g, devices, strategy));
+            let devs: Vec<Device> = (0..devices).map(|_| Device::k40c()).collect();
+            let (_, mut colors) = speculate(&c, plan.partition(), &devs, seed);
+            let stats = resolve_conflicts(&plan, &devs, &mut colors, &cfg);
+            let what = format!("{devices} devices, {strategy:?}");
+            assert!(!stats.clean, "{what}: the loop must hand off a tail");
+            assert!(stats.tail.len() < g.num_vertices() / 4, "{what}: tail");
+            // The frontier invariant the restricted sweep relies on.
+            let tail: BTreeSet<VertexId> = stats
+                .tail
+                .iter()
+                .map(|&v| plan.partition().input_id(v))
+                .collect();
+            let mut full = plan.partition().unpermute(&colors);
+            for (u, v) in g.edges() {
+                if full[u as usize] == full[v as usize] {
+                    assert!(tail.contains(&u) && tail.contains(&v), "{what}: ({u}, {v})");
+                }
+            }
+            greedy_repair_host(&g, &mut full);
+            let run = run_sharded(&c, &g, seed, &cfg);
+            assert_eq!(run.result.coloring.as_slice(), &full[..], "{what}");
+            assert!(run.verified, "{what}");
         }
     }
 }

@@ -33,11 +33,12 @@ fi
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release tests: the rayon shim's pool and the vgpu executor"
+echo "==> release tests: the rayon shim's pool, the vgpu executor and gc-shard"
 # The pool hands borrowed closures to persistent threads through
 # atomics; those must hold under release optimizations too, and tier-1
-# runs the dev profile only.
-cargo test --release -q -p rayon -p gc-vgpu
+# runs the dev profile only. gc-shard's device threads call the pool
+# concurrently, and its cut-table tests check the optimized build too.
+cargo test --release -q -p rayon -p gc-vgpu -p gc-shard
 
 echo "==> observability smoke: repro trace on a small graph"
 trace_dir="$(mktemp -d)"
