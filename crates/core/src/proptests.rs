@@ -7,7 +7,8 @@
 //! coloring worse under any budget, nor a longer run worse than a
 //! shorter one. The local properness check agrees
 //! with the full one on colorings changed only where an edge delta
-//! touched the graph.
+//! touched the graph, and the kernels' first-fit scratch takes exactly
+//! the reference mex.
 
 use proptest::prelude::*;
 
@@ -17,7 +18,7 @@ use gc_vgpu::{primitives, Device, DeviceBuffer};
 use crate::color::count_distinct;
 use crate::greedy::{greedy, Ordering};
 use crate::gunrock_is::{gunrock_is, IsConfig};
-use crate::reduce::{reduce_colors, ReduceBudget};
+use crate::reduce::{mex, reduce_colors, Forbidden, ReduceBudget};
 use crate::runner::{all_colorers, all_known_colorers};
 use crate::verify::{is_proper, is_proper_at};
 
@@ -248,6 +249,32 @@ proptest! {
         let expect: std::collections::HashSet<u32> =
             colors.iter().copied().filter(|&c| c != 0).collect();
         prop_assert_eq!(count_distinct(&colors), expect.len() as u32);
+    }
+
+    // The bitmask first-fit against the sorting reference. A dense run
+    // 1..=run fills the mask and, past 64, reaches the spill path; the
+    // extras add zeros, duplicates and colors on both sides of 64.
+    #[test]
+    fn forbidden_mex_matches_the_sorting_mex(
+        run in 0u32..140,
+        extras in proptest::collection::vec(0u32..150, 0..80),
+        large in proptest::collection::vec(any::<u32>(), 0..3),
+        at in any::<usize>(),
+        reversed in any::<bool>(),
+    ) {
+        let mut colors: Vec<u32> = (1..=run).chain(extras).chain(large).collect();
+        if !colors.is_empty() {
+            let k = at % colors.len();
+            colors.rotate_left(k);
+        }
+        if reversed {
+            colors.reverse();
+        }
+        let mut forbidden = Forbidden::new();
+        for &c in &colors {
+            forbidden.push(c);
+        }
+        prop_assert_eq!(forbidden.mex(), mex(&mut colors));
     }
 }
 

@@ -49,14 +49,18 @@ use crate::color::count_distinct;
 
 /// Minimum excluded color: the smallest color `>= 1` absent from
 /// `forbidden` (0 entries — uncolored neighbors — are ignored). Sorts
-/// in place. Every first-fit rule in the workspace uses it: the
+/// in place. Every first-fit rule in the workspace takes this mex: the
 /// short-cutting colorers' commits, this post-pass, and gc-shard's
-/// conflict repair.
+/// conflict repair, in kernels through [`Forbidden`].
 #[inline]
 pub fn mex(forbidden: &mut [u32]) -> u32 {
     forbidden.sort_unstable();
-    let mut c = 1u32;
-    for &f in forbidden.iter() {
+    first_free_from(forbidden, 1)
+}
+
+/// The smallest color `>= c` absent from the ascending `sorted`.
+fn first_free_from(sorted: &[u32], mut c: u32) -> u32 {
+    for &f in sorted {
         match f.cmp(&c) {
             std::cmp::Ordering::Less => {}
             std::cmp::Ordering::Equal => c += 1,
@@ -67,58 +71,44 @@ pub fn mex(forbidden: &mut [u32]) -> u32 {
 }
 
 /// First-fit scratch for one simulated thread: the colors its neighbors
-/// hold, gathered into a fixed stack buffer and spilled to the heap only
-/// past [`Forbidden::INLINE`] entries, so a first-fit kernel takes its
-/// [`mex`] without a heap allocation per thread on typical degrees. Every
+/// hold. Colors 1..=64 set bits of one `u64` mask, so the mex of a
+/// typical neighborhood is the mask's trailing ones plus one, with no
+/// sort and no heap allocation; only colors above 64 go to a spill
+/// vector, which is sorted only when 1..=64 are all taken. Every
 /// in-kernel first-fit rule gathers through it; the result is exactly
 /// [`mex`] of the pushed colors.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Forbidden {
-    len: usize,
-    inline: [u32; Forbidden::INLINE],
+    /// Bit `c - 1` is set once color `c` in 1..=64 was pushed.
+    low: u64,
+    /// Pushed colors above 64, in push order.
     spill: Vec<u32>,
 }
 
 impl Forbidden {
-    /// Colors held on the stack before the first heap spill.
-    pub const INLINE: usize = 32;
-
     pub fn new() -> Self {
-        Forbidden {
-            len: 0,
-            inline: [0; Forbidden::INLINE],
-            spill: Vec::new(),
-        }
+        Self::default()
     }
 
-    /// Adds one neighbor color (0, uncolored, is ignored by [`Self::mex`]).
+    /// Adds one neighbor color (0, uncolored, is ignored).
     #[inline]
     pub fn push(&mut self, color: u32) {
-        if self.len < Self::INLINE {
-            self.inline[self.len] = color;
-        } else {
-            if self.len == Self::INLINE {
-                self.spill.extend_from_slice(&self.inline);
-            }
-            self.spill.push(color);
+        match color {
+            0 => {}
+            1..=64 => self.low |= 1 << (color - 1),
+            _ => self.spill.push(color),
         }
-        self.len += 1;
     }
 
     /// The smallest color `>= 1` not pushed ([`mex`] of the gathered set).
     #[inline]
     pub fn mex(&mut self) -> u32 {
-        if self.len <= Self::INLINE {
-            mex(&mut self.inline[..self.len])
-        } else {
-            mex(&mut self.spill)
+        let free = self.low.trailing_ones();
+        if free < 64 {
+            return free + 1;
         }
-    }
-}
-
-impl Default for Forbidden {
-    fn default() -> Self {
-        Self::new()
+        self.spill.sort_unstable();
+        first_free_from(&self.spill, 65)
     }
 }
 

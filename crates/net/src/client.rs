@@ -121,8 +121,8 @@ impl NetClient {
     /// with that id). Returns the id, version 0, and the structural
     /// fingerprint rooting the version lineage.
     pub fn submit_graph(&mut self, graph_id: u64, graph: &Csr) -> Result<SubmitGraphAck, NetError> {
-        let msg = SubmitGraph::from_csr(graph_id, graph);
-        let reply = self.call(VERB_SUBMIT_GRAPH, &msg.encode(), VERB_SUBMIT_GRAPH_OK)?;
+        let body = SubmitGraph::encode_csr(graph_id, graph);
+        let reply = self.call(VERB_SUBMIT_GRAPH, &body, VERB_SUBMIT_GRAPH_OK)?;
         Ok(SubmitGraphAck::decode(&reply)?)
     }
 

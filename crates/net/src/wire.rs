@@ -8,7 +8,10 @@
 //!
 //! `payload_len` counts the verb byte plus the body, never the length
 //! prefix itself. All integers are little-endian; vertex ids are `u32`
-//! (as on the GPU), offsets and counts `u64`. There is no external
+//! (as on the GPU), offsets and counts `u64`. A GetResult reply's colors
+//! are width-tagged: one byte names the width (1, 2 or 4 bytes per
+//! color), the narrowest that holds the largest color, and every color
+//! follows at that width (see [`ResultPayload`]). There is no external
 //! serialization dependency — encoding is explicit byte pushing,
 //! decoding goes through [`BodyReader`], whose every read is
 //! bounds-checked and returns [`WireError::Malformed`] instead of
@@ -408,15 +411,46 @@ impl SubmitGraph {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.row_offsets.len() * 8 + self.cols.len() * 4);
-        push_u64(&mut out, self.graph_id);
-        push_u64(&mut out, self.n);
-        push_u64(&mut out, self.cols.len() as u64);
-        for &r in &self.row_offsets {
-            push_u64(&mut out, r);
+        Self::encode_body(
+            self.graph_id,
+            self.n,
+            self.row_offsets.iter().copied(),
+            &self.cols,
+        )
+    }
+
+    /// The body `SubmitGraph::from_csr(graph_id, g).encode()` writes,
+    /// straight from the borrowed CSR: the client uploads a graph
+    /// without first copying its arrays into a message.
+    pub(crate) fn encode_csr(graph_id: u64, g: &Csr) -> Vec<u8> {
+        Self::encode_body(
+            graph_id,
+            g.num_vertices() as u64,
+            g.row_offsets().iter().map(|&r| r as u64),
+            g.col_indices(),
+        )
+    }
+
+    /// Writes the header, then both arrays into a pre-sized buffer.
+    fn encode_body(
+        graph_id: u64,
+        n: u64,
+        row_offsets: impl ExactSizeIterator<Item = u64>,
+        cols: &[u32],
+    ) -> Vec<u8> {
+        let offsets_bytes = row_offsets.len() * 8;
+        let mut out = Vec::with_capacity(24 + offsets_bytes + cols.len() * 4);
+        push_u64(&mut out, graph_id);
+        push_u64(&mut out, n);
+        push_u64(&mut out, cols.len() as u64);
+        let start = out.len();
+        out.resize(start + offsets_bytes + cols.len() * 4, 0);
+        let (offsets_out, cols_out) = out[start..].split_at_mut(offsets_bytes);
+        for (bytes, r) in offsets_out.chunks_exact_mut(8).zip(row_offsets) {
+            bytes.copy_from_slice(&r.to_le_bytes());
         }
-        for &c in &self.cols {
-            push_u32(&mut out, c);
+        for (bytes, &c) in cols_out.chunks_exact_mut(4).zip(cols) {
+            bytes.copy_from_slice(&c.to_le_bytes());
         }
         out
     }
@@ -610,12 +644,33 @@ impl GetResult {
 
 /// GetResult response: the stored coloring for the graph's current
 /// version.
+///
+/// The body is `graph_id u64, version u64, num_colors u32, n u64,
+/// width u8`, then the `n` colors at `width` bytes each. The width is 1,
+/// 2 or 4, the narrowest that holds the largest color, so a coloring
+/// with at most 255 colors ships one byte per vertex.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResultPayload {
     pub graph_id: u64,
     pub version: u64,
     pub num_colors: u32,
     pub colors: Vec<u32>,
+}
+
+/// Bytes of a [`ResultPayload`] body before its colors: four header
+/// fields and the width byte.
+const RESULT_HEADER_LEN: usize = 29;
+
+/// Bytes per color on the wire: the narrowest of 1, 2 or 4 that holds
+/// every color. The OR of the colors has the maximum's top set bit; on
+/// baseline x86-64 the fold is one `por` per vector, where an unsigned
+/// `max` needs a compare-and-select sequence (SSE2 has no `pmaxud`).
+fn color_width(colors: &[u32]) -> usize {
+    match colors.iter().fold(0, |acc, &c| acc | c) {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        _ => 4,
+    }
 }
 
 impl ResultPayload {
@@ -625,17 +680,36 @@ impl ResultPayload {
 
     /// The body [`ResultPayload::encode`] writes, from a borrowed color
     /// array: the server encodes a stored coloring straight into the
-    /// frame body, with no owned copy in between.
+    /// frame body, narrowing each color to the payload's width, with no
+    /// owned copy in between.
     pub fn encode_parts(graph_id: u64, version: u64, num_colors: u32, colors: &[u32]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28 + colors.len() * 4);
+        let width = color_width(colors);
+        let mut out = Vec::with_capacity(RESULT_HEADER_LEN + colors.len() * width);
         push_u64(&mut out, graph_id);
         push_u64(&mut out, version);
         push_u32(&mut out, num_colors);
         push_u64(&mut out, colors.len() as u64);
+        out.push(width as u8);
         let start = out.len();
-        out.resize(start + colors.len() * 4, 0);
-        for (bytes, &c) in out[start..].chunks_exact_mut(4).zip(colors) {
-            bytes.copy_from_slice(&c.to_le_bytes());
+        out.resize(start + colors.len() * width, 0);
+        let body = &mut out[start..];
+        // `color_width` guarantees every `as` below keeps the value.
+        match width {
+            1 => {
+                for (byte, &c) in body.iter_mut().zip(colors) {
+                    *byte = c as u8;
+                }
+            }
+            2 => {
+                for (bytes, &c) in body.chunks_exact_mut(2).zip(colors) {
+                    bytes.copy_from_slice(&(c as u16).to_le_bytes());
+                }
+            }
+            _ => {
+                for (bytes, &c) in body.chunks_exact_mut(4).zip(colors) {
+                    bytes.copy_from_slice(&c.to_le_bytes());
+                }
+            }
         }
         out
     }
@@ -646,10 +720,31 @@ impl ResultPayload {
         let version = r.u64("version")?;
         let num_colors = r.u32("num_colors")?;
         let n = r.u64("n")?;
-        if n.checked_mul(4).ok_or_else(|| malformed("n overflows"))? != r.remaining() as u64 {
-            return Err(malformed("colors array length mismatch"));
+        let width = r.u8("color width")?;
+        if !matches!(width, 1 | 2 | 4) {
+            return Err(malformed(format!("color width {width} is not 1, 2 or 4")));
         }
-        let colors = r.u32_array(n as usize, "colors")?;
+        let bytes = n
+            .checked_mul(width as u64)
+            .ok_or_else(|| malformed("colors array length overflows"))?;
+        if bytes != r.remaining() as u64 {
+            return Err(malformed(format!(
+                "{n} colors of {width} bytes claim {bytes} bytes, body has {}",
+                r.remaining()
+            )));
+        }
+        let raw = r.take(bytes as usize, "colors")?;
+        let colors = match width {
+            1 => raw.iter().map(|&b| b as u32).collect(),
+            2 => raw
+                .chunks_exact(2)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]) as u32)
+                .collect(),
+            _ => raw
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect(),
+        };
         r.finish()?;
         Ok(ResultPayload {
             graph_id,
@@ -948,7 +1043,9 @@ impl ErrorFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_graph::generators::cycle;
+    use gc_graph::generators::{cycle, grid2d, Stencil2d};
+    use gc_graph::GraphBuilder;
+    use proptest::prelude::*;
 
     #[test]
     fn frame_roundtrip() {
@@ -997,6 +1094,24 @@ mod tests {
         assert_eq!(decoded, msg);
         let back = decoded.into_csr().unwrap();
         assert_eq!(back, g);
+    }
+
+    #[test]
+    fn encode_csr_matches_the_message_encoding() {
+        let graphs = [
+            cycle(16),
+            grid2d(9, 7, Stencil2d::NinePoint),
+            GraphBuilder::new(5).edges([(0, 4)]).build(),
+            GraphBuilder::new(0).build(),
+        ];
+        for (id, g) in graphs.iter().enumerate() {
+            let id = id as u64 + 3;
+            assert_eq!(
+                SubmitGraph::encode_csr(id, g),
+                SubmitGraph::from_csr(id, g).encode(),
+                "graph {id}"
+            );
+        }
     }
 
     #[test]
@@ -1089,6 +1204,120 @@ mod tests {
             colors: vec![1, 2, 3, 1],
         };
         assert_eq!(ResultPayload::decode(&p.encode()).unwrap(), p);
+    }
+
+    fn payload(colors: Vec<u32>) -> ResultPayload {
+        ResultPayload {
+            graph_id: 11,
+            version: 4,
+            num_colors: 3,
+            colors,
+        }
+    }
+
+    fn assert_malformed(body: &[u8], what: &str) {
+        match ResultPayload::decode(body) {
+            Err(WireError::Malformed(_)) => {}
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn result_width_byte_must_be_1_2_or_4() {
+        let body = payload(vec![1, 2, 3, 1]).encode();
+        assert_eq!(body[RESULT_HEADER_LEN - 1], 1);
+        for width in [0u8, 3, 8] {
+            let mut bad = body.clone();
+            bad[RESULT_HEADER_LEN - 1] = width;
+            assert_malformed(&bad, &format!("width {width}"));
+        }
+    }
+
+    #[test]
+    fn result_colors_must_fill_the_body_exactly() {
+        for colors in [vec![1, 2, 3], vec![300, 2], vec![70_000]] {
+            let body = payload(colors).encode();
+            let mut long = body.clone();
+            long.push(0);
+            assert_malformed(&long, "one byte past n × width");
+            assert_malformed(&body[..body.len() - 1], "one byte short of n × width");
+            let mut forged = body.clone();
+            let n = u64::from_le_bytes(forged[20..28].try_into().unwrap());
+            forged[20..28].copy_from_slice(&(n + 1).to_le_bytes());
+            assert_malformed(&forged, "n one past the colors sent");
+        }
+        // n × width overflows u64: rejected before any allocation.
+        for (n, width) in [(u64::MAX, 4u8), (u64::MAX / 2 + 1, 2), (u64::MAX, 2)] {
+            let mut body = payload(Vec::new()).encode();
+            body[20..28].copy_from_slice(&n.to_le_bytes());
+            body[RESULT_HEADER_LEN - 1] = width;
+            body.extend_from_slice(&[1; 8]);
+            assert_malformed(&body, &format!("n = {n}, width {width}"));
+        }
+    }
+
+    /// A body in the format before width tags (a `u32` per color, no
+    /// width byte) is a typed error, never a misread coloring.
+    #[test]
+    fn result_body_without_a_width_byte_is_malformed() {
+        for colors in [
+            vec![],
+            vec![1],
+            vec![1, 2, 3],
+            vec![2, 1, 4, 3],
+            vec![300; 5],
+        ] {
+            let mut old = Vec::new();
+            push_u64(&mut old, 11);
+            push_u64(&mut old, 4);
+            push_u32(&mut old, 3);
+            push_u64(&mut old, colors.len() as u64);
+            for &c in &colors {
+                push_u32(&mut old, c);
+            }
+            assert_malformed(&old, &format!("old-format body of {colors:?}"));
+        }
+    }
+
+    /// Colors whose largest value falls in `band`: 0 the empty coloring,
+    /// 1 at most 255, 2 in 256..=65,535, 3 above 65,535. Returns the
+    /// colors and the width the encoder must pick.
+    fn colors_in_band() -> impl Strategy<Value = (Vec<u32>, usize)> {
+        (
+            0usize..4,
+            proptest::collection::vec(any::<u32>(), 1..96),
+            any::<usize>(),
+            any::<u32>(),
+        )
+            .prop_map(|(band, raw, at, top)| {
+                let (limit, floor, width) = match band {
+                    0 => return (Vec::new(), 1),
+                    1 => (0xFF, 0, 1),
+                    2 => (0xFFFF, 0x100, 2),
+                    _ => (u32::MAX, 0x1_0000, 4),
+                };
+                let below = |x: u32, m: u32| (x as u64 % (m as u64 + 1)) as u32;
+                let mut colors: Vec<u32> = raw.into_iter().map(|c| below(c, limit)).collect();
+                let k = at % colors.len();
+                colors[k] = floor + below(top, limit - floor);
+                (colors, width)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn result_payload_roundtrips_at_every_width(
+            (colors, width) in colors_in_band(),
+        ) {
+            let p = payload(colors);
+            prop_assert_eq!(color_width(&p.colors), width);
+            let body = p.encode();
+            prop_assert_eq!(body.len(), RESULT_HEADER_LEN + p.colors.len() * width);
+            prop_assert_eq!(body[RESULT_HEADER_LEN - 1] as usize, width);
+            prop_assert_eq!(ResultPayload::decode(&body).unwrap(), p);
+        }
     }
 
     #[test]

@@ -552,6 +552,10 @@ impl InitialConflicts {
 /// times (gc-service keeps one per worker) builds them once, and each
 /// request then pays only for the tables its conflict frontier needs.
 /// The plan owns its partition, so the two cannot drift apart.
+///
+/// The tables the conflict kernels read stay resident in device buffers
+/// that every request's `DevState` borrows: the kernels only read them,
+/// and none depends on the request.
 pub struct CutPlan {
     partition: Partition,
     /// Per shard, per cut edge (aligned with `cut_neighbors`): the shard
@@ -561,18 +565,27 @@ pub struct CutPlan {
     /// owner's boundary, packed with `LARGER_BIT` when the remote
     /// endpoint outranks the local one.
     cut_remote: Vec<Vec<u32>>,
+    /// Per shard: the local CSR, as the speculative run uploads it.
+    row_off: Vec<DeviceBuffer<u32>>,
+    cols: Vec<DeviceBuffer<u32>>,
+    /// Per shard: slot → local vertex id.
+    boundary: Vec<DeviceBuffer<u32>>,
+    /// Per shard: slot-space CSR offsets of the cut edges.
+    cut_off: Vec<DeviceBuffer<u32>>,
     /// Per shard: slot-space CSR of local boundary↔boundary edges, the
     /// only local edges that can ever conflict during resolution (the
     /// speculative coloring is proper within the shard and interior
     /// vertices never recolor). Adjacency entries pack the neighbor's
     /// local vertex id with its rank bit (`vertex | LARGER_BIT`).
-    bb_off: Vec<Vec<u32>>,
-    bb_adj: Vec<Vec<u32>>,
+    bb_off: Vec<DeviceBuffer<u32>>,
+    bb_adj: Vec<DeviceBuffer<u32>>,
 }
 
 impl CutPlan {
     /// Builds the partition-only tables of `partition`'s conflict loop:
-    /// `O(V + E)` host work with one rank-key hash per boundary vertex.
+    /// `O(V + E)` host work with one rank-key hash per boundary vertex,
+    /// plus one unmetered copy of each kernel-read table into its device
+    /// buffer.
     pub fn new(partition: Partition) -> CutPlan {
         let shards = partition.shards();
         // Per shard: local vertex id → boundary slot, and each slot's
@@ -593,14 +606,21 @@ impl CutPlan {
             .collect();
         let larger = |outranks: bool| if outranks { LARGER_BIT } else { 0 };
 
+        // The kernels index with `u32` offsets.
+        let offsets_u32 = |offs: &[usize]| -> DeviceBuffer<u32> {
+            DeviceBuffer::from_slice(&offs.iter().map(|&o| o as u32).collect::<Vec<u32>>())
+        };
+
         let k = shards.len();
         let (mut cut_owner, mut cut_remote) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        let (mut row_off, mut cols) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        let (mut boundary, mut cut_off) = (Vec::with_capacity(k), Vec::with_capacity(k));
         let (mut bb_off, mut bb_adj) = (Vec::with_capacity(k), Vec::with_capacity(k));
         for s in shards {
             let i = s.index;
             let mut owner = Vec::with_capacity(s.cut_neighbors.len());
             let mut remote = Vec::with_capacity(s.cut_neighbors.len());
-            let (row_off, cols) = (s.local.row_offsets(), s.local.col_indices());
+            let (local_off, local_cols) = (s.local.row_offsets(), s.local.col_indices());
             let mut offs = Vec::with_capacity(s.boundary.len() + 1);
             offs.push(0u32);
             let mut adj = Vec::new();
@@ -617,7 +637,7 @@ impl CutPlan {
                     remote.push(slot | larger(keys[o][slot as usize] > me));
                 }
                 let v = v as usize;
-                for &u in &cols[row_off[v]..row_off[v + 1]] {
+                for &u in &local_cols[local_off[v]..local_off[v + 1]] {
                     let slot = slot_of[i][u as usize];
                     if slot != NO_SLOT {
                         adj.push(u | larger(keys[i][slot as usize] > me));
@@ -627,14 +647,22 @@ impl CutPlan {
             }
             cut_owner.push(owner);
             cut_remote.push(remote);
-            bb_off.push(offs);
-            bb_adj.push(adj);
+            row_off.push(offsets_u32(local_off));
+            cols.push(DeviceBuffer::from_slice(local_cols));
+            boundary.push(DeviceBuffer::from_slice(&s.boundary));
+            cut_off.push(offsets_u32(&s.cut_offsets));
+            bb_off.push(DeviceBuffer::from_slice(&offs));
+            bb_adj.push(DeviceBuffer::from_slice(&adj));
         }
 
         CutPlan {
             partition,
             cut_owner,
             cut_remote,
+            row_off,
+            cols,
+            boundary,
+            cut_off,
             bb_off,
             bb_adj,
         }
@@ -778,14 +806,17 @@ impl CutAddressing {
     }
 }
 
-/// Per-device state of the conflict loop. Every buffer is a fresh
-/// allocation filled by an unmetered host copy on each request. The
-/// graph-shaped ones (`colors`, `row_off`, `cols`) hold data the
-/// speculative run already had on the device (its uploaded shard and
-/// its own output), so the model bills no second upload for them; the
-/// addressing tables are host-built setup metadata; and the contents of
-/// the slot-shaped working buffers only ever move via metered kernels
-/// and transfers.
+/// Per-device state of the conflict loop. The six read-only tables
+/// (`row_off`, `cols`, `boundary`, `cut_off`, `bb_off`, `bb_adj`) are
+/// borrowed from the [`CutPlan`], where they stay resident across
+/// requests. Per request, `colors` and `halo_idx` are fresh buffers
+/// filled by an unmetered host copy, and the slot-shaped working buffers
+/// are fresh zeroed ones. The graph-shaped data (`colors`, the local
+/// CSR) is what the speculative run already had on the device (its
+/// uploaded shard and its own output), so the model bills no second
+/// upload for it; the addressing tables are host-built setup metadata;
+/// and the contents of the working buffers only ever move via metered
+/// kernels and transfers.
 struct DevState<'a> {
     i: usize,
     dev: &'a Device,
@@ -796,17 +827,17 @@ struct DevState<'a> {
     /// exactly the shard's own speculative output.
     colors: DeviceBuffer<u32>,
     /// The shard's local CSR, as the speculative run uploaded it.
-    row_off: DeviceBuffer<u32>,
-    cols: DeviceBuffer<u32>,
+    row_off: &'a DeviceBuffer<u32>,
+    cols: &'a DeviceBuffer<u32>,
     /// Slot → local vertex id.
-    boundary: DeviceBuffer<u32>,
+    boundary: &'a DeviceBuffer<u32>,
     /// Slot-space CSR of cut edges (offsets into `halo_idx`).
-    cut_off: DeviceBuffer<u32>,
+    cut_off: &'a DeviceBuffer<u32>,
     /// Per cut edge: packed halo position (`pos | LARGER_BIT`).
     halo_idx: DeviceBuffer<u32>,
     /// Local boundary↔boundary adjacency (offsets + packed local ids).
-    bb_off: DeviceBuffer<u32>,
-    bb_adj: DeviceBuffer<u32>,
+    bb_off: &'a DeviceBuffer<u32>,
+    bb_adj: &'a DeviceBuffer<u32>,
     /// Concatenated send-list color replica from all peers.
     halo: DeviceBuffer<u32>,
     /// Per-slot local-edge detection bits (`HAS_SMALLER`/`HAS_LARGER`).
@@ -927,21 +958,19 @@ fn resolve_conflicts(
             }
             let start = s.start as usize;
             let i = s.index;
-            let row_off: Vec<u32> = s.local.row_offsets().iter().map(|&o| o as u32).collect();
-            let cut_off: Vec<u32> = s.cut_offsets.iter().map(|&o| o as u32).collect();
             Some(DevState {
                 i,
                 dev,
                 start: s.start,
                 b: s.boundary.len(),
                 colors: DeviceBuffer::from_slice(&colors[start..start + s.n_owned()]),
-                row_off: DeviceBuffer::from_slice(&row_off),
-                cols: DeviceBuffer::from_slice(s.local.col_indices()),
-                boundary: DeviceBuffer::from_slice(&s.boundary),
-                cut_off: DeviceBuffer::from_slice(&cut_off),
+                row_off: &plan.row_off[i],
+                cols: &plan.cols[i],
+                boundary: &plan.boundary[i],
+                cut_off: &plan.cut_off[i],
                 halo_idx: DeviceBuffer::from_slice(&addr.halo_idx[i]),
-                bb_off: DeviceBuffer::from_slice(&plan.bb_off[i]),
-                bb_adj: DeviceBuffer::from_slice(&plan.bb_adj[i]),
+                bb_off: &plan.bb_off[i],
+                bb_adj: &plan.bb_adj[i],
                 halo: DeviceBuffer::zeroed(addr.halo_len[i]),
                 partial: DeviceBuffer::zeroed(s.boundary.len()),
                 flag: DeviceBuffer::zeroed(s.boundary.len()),

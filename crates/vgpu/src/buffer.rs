@@ -243,6 +243,14 @@ impl<T: Scalar> Clone for DeviceBuffer<T> {
     }
 }
 
+/// Compares the buffer's contents with host data (unmetered, like
+/// [`DeviceBuffer::to_vec`]).
+impl<T: Scalar> PartialEq<Vec<T>> for DeviceBuffer<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        self.len() == other.len() && self.cells.iter().map(T::load).eq(other.iter().copied())
+    }
+}
+
 impl<T: Scalar> std::fmt::Debug for DeviceBuffer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "DeviceBuffer(id={}, len={})", self.id, self.len())
@@ -274,6 +282,8 @@ mod tests {
         let data = vec![1.0f32, 2.5, -3.0];
         let b = DeviceBuffer::from_slice(&data);
         assert_eq!(b.to_vec(), data);
+        assert_eq!(b, data);
+        assert_ne!(b, data[..2].to_vec());
         assert_eq!(b.get(1), 2.5);
     }
 

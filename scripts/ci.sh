@@ -33,12 +33,14 @@ fi
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release tests: the rayon shim's pool, the vgpu executor and gc-shard"
+echo "==> release tests: the rayon shim's pool, the vgpu executor, gc-shard and gc-net"
 # The pool hands borrowed closures to persistent threads through
 # atomics; those must hold under release optimizations too, and tier-1
 # runs the dev profile only. gc-shard's device threads call the pool
 # concurrently, and its cut-table tests check the optimized build too.
-cargo test --release -q -p rayon -p gc-vgpu -p gc-shard
+# gc-net's codec tests check the color narrowing and widening loops as
+# the optimizer vectorizes them.
+cargo test --release -q -p rayon -p gc-vgpu -p gc-shard -p gc-net
 
 echo "==> observability smoke: repro trace on a small graph"
 trace_dir="$(mktemp -d)"
